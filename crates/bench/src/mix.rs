@@ -107,11 +107,10 @@ pub fn chaos_mix() -> Vec<MixEntry> {
 }
 
 /// The scaling mix: one solver on one mid-size gnp workload, seed
-/// pinned, with the engine thread count as the *only* axis — the
-/// serving-layer mirror of `exp_s0_scaling`. Every entry is a distinct
-/// cache cell purely by thread count, so replaying this mix exercises
-/// threads-keyed caching end to end; on a multi-core host it also
-/// surfaces the wall-time spread across worker counts.
+/// pinned, with the engine thread count as the *only* axis. Every entry
+/// is a distinct cache cell purely by thread count, so replaying this mix
+/// exercises threads-keyed caching end to end; on a multi-core host it
+/// also surfaces the wall-time spread across worker counts.
 pub fn scaling_mix() -> Vec<MixEntry> {
     [1, 2, 4, 8]
         .into_iter()

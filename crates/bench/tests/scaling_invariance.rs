@@ -2,17 +2,20 @@
 //! an engine run — every node's output, the message/bit metrics, and
 //! the trace structure hash — are bit-identical at 1, 2, and 8 worker
 //! threads, on generated graphs, on a bundled DIMACS instance, and
-//! under a full chaos mix. `exp_s0_scaling` asserts the same contract
-//! on its own (much larger) cells; this test keeps it in the default
-//! `cargo test` tier with laptop-sized workloads.
+//! under a full chaos mix. The `kwperf` benchmark also checks that its
+//! n = 100k solves give the same dominating set and metrics at 1 and 2
+//! threads; this test keeps the contract in the default `cargo test`
+//! tier with laptop-sized workloads.
+
+mod traffic;
 
 use kw_bench::instances;
-use kw_bench::traffic::{Flood, Ping};
 use kw_graph::{generators, CsrGraph};
 use kw_sim::{ChaosPlan, Engine, EngineConfig};
 use kw_trace::Tracer;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use traffic::{Flood, Ping};
 
 /// Everything a run produces that must not depend on the thread count:
 /// full per-node outputs, the round/message/bit metrics, and the span
@@ -100,4 +103,33 @@ fn results_are_thread_invariant_under_iid_drops_on_gnp() {
     let g = generators::gnp(300, 0.05, &mut rng);
     let chaos = ChaosPlan::parse("drop=0.2,seed=3").expect("valid spec");
     assert_invariant(&g, &chaos, "gnp(300, 0.05) under drop=0.2");
+}
+
+/// Both shapes at 4 workers, the count the tests above skip.
+#[test]
+fn both_shapes_are_thread_invariant() {
+    let mut rng = SmallRng::seed_from_u64(9);
+    let g = generators::gnp(200, 0.08, &mut rng);
+    let run = |threads: usize, ping: bool| -> Vec<u64> {
+        let cfg = EngineConfig {
+            threads,
+            ..Default::default()
+        };
+        if ping {
+            Engine::new(&g, cfg, |info| Ping::new(u64::from(info.id.raw()), 5))
+                .run()
+                .expect("reliable run")
+                .outputs
+        } else {
+            Engine::new(&g, cfg, |info| Flood::new(u64::from(info.id.raw()), 5))
+                .run()
+                .expect("reliable run")
+                .outputs
+        }
+    };
+    for ping in [false, true] {
+        let base = run(1, ping);
+        assert_eq!(base, run(4, ping));
+        assert!(base.iter().any(|&x| x != 0));
+    }
 }

@@ -6,37 +6,24 @@
 //!
 //! * engine level — a raw [`kw_sim::Engine`] run with a tracer
 //!   installed, on a generated G(n, p) graph and on a bundled DIMACS
-//!   instance, at 1/2/8 workers;
+//!   instance, at 1/2/8 workers; each run's Chrome export must also
+//!   parse as JSON and hold exactly one event per track and span;
 //! * solver level — [`kw_core::solver::traced_solve`] over the full
 //!   composite pipeline, including under a chaos plan, at 1/2/8
 //!   solver threads.
 
+mod traffic;
+
 use kw_bench::instances;
 use kw_core::solver::{SolveContext, SolverRegistry};
 use kw_graph::{generators, CsrGraph};
+use kw_results::json::Json;
 use kw_sim::rng::split_mix64;
-use kw_sim::wire::{BitReader, BitWriter, WireEncode};
 use kw_sim::{ChaosPlan, Ctx, Engine, EngineConfig, Protocol, Status};
 use kw_trace::{RoundSample, Tracer};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-
-#[derive(Clone)]
-struct Word(u64);
-
-impl WireEncode for Word {
-    fn encode(&self, w: &mut BitWriter) {
-        w.write_gamma(self.0);
-    }
-
-    fn decode(r: &mut BitReader<'_>) -> Option<Self> {
-        r.read_gamma().map(Word)
-    }
-
-    fn encoded_bits(&self) -> usize {
-        kw_sim::wire::gamma_len(self.0)
-    }
-}
+use traffic::Word;
 
 /// Mixed traffic: one broadcast plus one hashed unicast per node per
 /// round, so both send paths contribute to the sampled counters.
@@ -95,6 +82,7 @@ fn engine_fingerprint(
     .expect("reliable run");
     let mut tracer = kw_trace::take().expect("tracer installed");
     tracer.finish();
+    assert_chrome_export_complete(&tracer);
     let out = report.outputs.iter().fold(0u64, |a, &x| a.wrapping_add(x));
     (
         tracer.structure(),
@@ -102,6 +90,50 @@ fn engine_fingerprint(
         tracer.samples().to_vec(),
         out,
     )
+}
+
+/// Parses the tracer's Chrome export with a real JSON parser and checks
+/// that `traceEvents` holds one `thread_name` metadata row per track,
+/// one complete event per main-track span (in begin order), one per
+/// worker-track span, and nothing else.
+fn assert_chrome_export_complete(tracer: &Tracer) {
+    let export = Json::parse(&tracer.chrome_json()).expect("Chrome export parses as JSON");
+    let events = export
+        .get("traceEvents")
+        .and_then(Json::as_arr)
+        .expect("traceEvents array");
+    let ph = |e: &Json| e.get("ph").and_then(Json::as_str).map(str::to_string);
+    let (metadata, spans): (Vec<&Json>, Vec<&Json>) =
+        events.iter().partition(|e| ph(e).as_deref() == Some("M"));
+    let workers = tracer.summarize().threads;
+    assert_eq!(metadata.len(), 1 + workers, "one thread_name row per track");
+    let mut main = Vec::new();
+    let mut worker_spans = 0;
+    for e in spans {
+        assert_eq!(ph(e).as_deref(), Some("X"), "only metadata and span events");
+        for key in ["ts", "dur"] {
+            assert!(e.get(key).and_then(Json::as_u64).is_some(), "no {key}");
+        }
+        match e.get("tid").and_then(Json::as_u64) {
+            Some(0) => main.push(e.get("name").and_then(Json::as_str).expect("span name")),
+            Some(_) => worker_spans += 1,
+            None => panic!("span event without a tid"),
+        }
+    }
+    let labels: Vec<&str> = tracer.spans().iter().map(|s| s.label).collect();
+    assert_eq!(
+        main, labels,
+        "one main-track event per span, in begin order"
+    );
+    // Every parallel phase closes with one synthetic `barrier` span on
+    // the main track and one chunk span on each worker track: `Mixed`
+    // stages traffic in every delivered round, so no phase is skipped.
+    let parallel_phases = labels.iter().filter(|&&l| l == "barrier").count();
+    assert_eq!(
+        worker_spans,
+        parallel_phases * workers,
+        "one event per worker-track span"
+    );
 }
 
 fn assert_engine_invariant(g: &CsrGraph, what: &str) {

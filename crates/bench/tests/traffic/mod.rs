@@ -1,13 +1,14 @@
-//! Synthetic engine traffic shapes shared by the profiling and scaling
-//! experiments.
+//! Synthetic engine traffic shapes shared by the thread-invariance
+//! tests.
 //!
-//! `benches/engine.rs`, `exp_o1_profile`, and `exp_s0_scaling` all need
-//! the same two boundary protocols — broadcast-heavy *flood* (the shape
-//! of Algorithms 1–3) and unicast-heavy *ping* — so the engine is
-//! exercised at both ends of its delivery plane. This module is the one
-//! definition they share: a gamma-coded wire word plus the two
-//! protocols, deterministic per `(node id, round)` so every run is
+//! The two boundary protocols — broadcast-heavy *flood* (the shape of
+//! Algorithms 1–3) and unicast-heavy *ping* — exercise the engine at
+//! both ends of its delivery plane. Both send a gamma-coded wire word
+//! and are deterministic per `(node id, round)`, so every run is
 //! bit-identical across thread counts.
+
+// Each test binary that includes this module uses only part of it.
+#![allow(dead_code)]
 
 use kw_sim::rng::split_mix64;
 use kw_sim::wire::{BitReader, BitWriter, WireEncode};
@@ -32,7 +33,7 @@ impl WireEncode for Word {
 }
 
 /// Broadcast-heavy: one broadcast per node per round (the shape of
-/// Algorithms 1–3). Mirrors `benches/engine.rs`.
+/// Algorithms 1–3).
 pub struct Flood {
     acc: u64,
     rounds_left: u32,
@@ -71,7 +72,7 @@ impl Protocol for Flood {
 }
 
 /// Unicast-heavy: four unicasts per node per round to hash-chosen
-/// ports. Mirrors `benches/engine.rs`.
+/// ports.
 pub struct Ping {
     me: u64,
     acc: u64,
@@ -114,42 +115,5 @@ impl Protocol for Ping {
 
     fn finish(self) -> u64 {
         self.acc
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use kw_graph::generators;
-    use kw_sim::{Engine, EngineConfig};
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
-
-    #[test]
-    fn both_shapes_are_thread_invariant() {
-        let mut rng = SmallRng::seed_from_u64(9);
-        let g = generators::gnp(200, 0.08, &mut rng);
-        let run = |threads: usize, ping: bool| -> Vec<u64> {
-            let cfg = EngineConfig {
-                threads,
-                ..Default::default()
-            };
-            if ping {
-                Engine::new(&g, cfg, |info| Ping::new(u64::from(info.id.raw()), 5))
-                    .run()
-                    .expect("reliable run")
-                    .outputs
-            } else {
-                Engine::new(&g, cfg, |info| Flood::new(u64::from(info.id.raw()), 5))
-                    .run()
-                    .expect("reliable run")
-                    .outputs
-            }
-        };
-        for ping in [false, true] {
-            let base = run(1, ping);
-            assert_eq!(base, run(4, ping));
-            assert!(base.iter().any(|&x| x != 0));
-        }
     }
 }

@@ -55,8 +55,7 @@ pub struct RunRecord {
     pub chaos: String,
     /// Engine worker threads the run executed with (`1` = sequential).
     /// Part of the cache key: outcomes are bit-identical across thread
-    /// counts, but `wall_ms` is not, and the scaling gate compares
-    /// same-key cells across exactly this field.
+    /// counts, but `wall_ms` is not.
     pub threads: usize,
     /// What the run produced.
     pub outcome: RunOutcome,

@@ -44,7 +44,7 @@ pub struct RunOutcome {
 /// canonical chaos spec, engine threads)`. Deterministic outcomes are
 /// thread-invariant, but `wall_ms` is a measurement of one thread count —
 /// keying by threads keeps a 4T sweep from reporting 1T wall times (and
-/// vice versa), which the scaling gate depends on.
+/// vice versa).
 type OutcomeKey = (String, String, u64, String, usize);
 
 /// Memoization shared across [`ExperimentRunner`] sweeps (ROADMAP item

@@ -3,26 +3,18 @@
 //! ```text
 //! regress <baseline.jsonl> <candidate.jsonl> [--time-ratio R]
 //!         [--quality-ratio R] [--min-wall-ms X] [--phase-share-drift D]
-//!         [--scaling-drop D]
 //! regress --validate <store.jsonl>
-//! regress --check-json <file.json>
-//! regress --render-bench <store.jsonl> <out.json>
 //! ```
 //!
 //! Compares the candidate store's summary (plus bench lines and trace
 //! phase shares) against the baseline's; prints every finding and exits
-//! 1 if any, 0 when clean, 2 on usage or load errors. `--validate` just
-//! schema-checks one store (CI uses it on freshly written bench and
-//! profile stores, whose absolute timings are machine-dependent and
-//! therefore not gated). `--check-json` verifies a file parses as JSON
-//! (CI uses it on exported Chrome traces). `--render-bench` regenerates
-//! the human-readable `BENCH_engine.json` view from a bench store — the
-//! JSONL store is the source of truth; the JSON view is derived.
+//! 1 if any, 0 when clean, 2 on usage or load errors. Every budget must
+//! be a finite number ≥ 0, and the two ratios must also be > 0:
+//! anything else is a usage error. `--validate` just schema-checks one
+//! store (CI uses it on the stores its smoke steps write, whose absolute
+//! timings are machine-dependent and therefore not gated).
 
-use kw_results::json::Json;
-use kw_results::regress::{
-    compare, compare_benches, compare_scaling, compare_traces, RegressPolicy,
-};
+use kw_results::regress::{compare, compare_benches, compare_traces, RegressPolicy};
 use kw_results::store::{load_path, StoreContents};
 use kw_results::summary::Summary;
 
@@ -30,10 +22,8 @@ fn usage() -> ! {
     eprintln!(
         "usage: regress <baseline.jsonl> <candidate.jsonl> \
          [--time-ratio R] [--quality-ratio R] [--min-wall-ms X] \
-         [--phase-share-drift D] [--scaling-drop D]\n\
-         \x20      regress --validate <store.jsonl>\n\
-         \x20      regress --check-json <file.json>\n\
-         \x20      regress --render-bench <store.jsonl> <out.json>"
+         [--phase-share-drift D]\n\
+         \x20      regress --validate <store.jsonl>"
     );
     std::process::exit(2);
 }
@@ -55,155 +45,52 @@ fn load(path: &str) -> StoreContents {
     }
 }
 
-/// `--check-json`: the file must parse as a single JSON value. Used by
-/// CI on exported Chrome traces, where a torn or truncated export would
-/// otherwise only fail when a human loads it into Perfetto.
-fn check_json(path: &str) -> ! {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("regress: cannot read {path}: {e}");
-            std::process::exit(2);
-        }
-    };
-    match Json::parse(&text) {
-        Ok(v) => {
-            let events = v
-                .get("traceEvents")
-                .and_then(Json::as_arr)
-                .map(<[Json]>::len);
-            match events {
-                Some(n) => println!("{path}: well-formed Chrome trace ({n} events)"),
-                None => println!("{path}: well-formed JSON"),
-            }
-            std::process::exit(0);
-        }
-        Err(e) => {
-            eprintln!("regress: {path} is not valid JSON: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-/// `--render-bench`: regenerate the pretty JSON view of a bench store.
-/// Groups bench lines by group name, keeping the latest measurement per
-/// `(bench, id)` (re-runs append; newest wins), and stamps the render
-/// with its provenance so nobody mistakes the view for the data.
-fn render_bench(store_path: &str, out_path: &str) -> ! {
-    let contents = load(store_path);
-    if contents.benches.is_empty() {
-        eprintln!("regress: {store_path} holds no bench lines to render");
-        std::process::exit(2);
-    }
-    let mut groups: Vec<(String, Vec<(String, f64)>)> = Vec::new();
-    for b in &contents.benches {
-        let group = match groups.iter_mut().find(|(name, _)| *name == b.bench) {
-            Some((_, ids)) => ids,
-            None => {
-                groups.push((b.bench.clone(), Vec::new()));
-                &mut groups.last_mut().expect("just pushed").1
-            }
-        };
-        match group.iter_mut().find(|(id, _)| *id == b.id) {
-            Some((_, ms)) => *ms = b.best_ms,
-            None => group.push((b.id.clone(), b.best_ms)),
-        }
-    }
-    let rendered = Json::obj([
-        (
-            "note",
-            Json::Str(format!(
-                "Rendered view of {store_path} — regenerate with \
-                 `regress --render-bench {store_path} <out>`. The JSONL \
-                 store is the source of truth and is what `regress` \
-                 compares; do not edit this file by hand."
-            )),
-        ),
-        ("history", Json::Str("docs/BENCH_HISTORY.md".to_string())),
-        (
-            "source",
-            Json::Str(
-                std::path::Path::new(store_path)
-                    .file_name()
-                    .map(|n| n.to_string_lossy().into_owned())
-                    .unwrap_or_else(|| store_path.to_string()),
-            ),
-        ),
-        (
-            "groups",
-            Json::Obj(
-                groups
-                    .into_iter()
-                    .map(|(name, ids)| {
-                        (
-                            name,
-                            Json::Obj(
-                                ids.into_iter()
-                                    .map(|(id, ms)| (id, Json::num(ms)))
-                                    .collect(),
-                            ),
-                        )
-                    })
-                    .collect(),
-            ),
-        ),
-    ]);
-    if let Err(e) = std::fs::write(out_path, rendered.render() + "\n") {
-        eprintln!("regress: cannot write {out_path}: {e}");
-        std::process::exit(2);
-    }
-    println!("{out_path}: rendered from {store_path}");
-    std::process::exit(0);
+/// Parses a budget flag's value: a finite number ≥ 0, and > 0 for the
+/// two ratios. Every gate has the form `fresh > base * budget` or
+/// `drift > budget`, which is never true against NaN or infinity, so a
+/// non-finite budget would pass any candidate.
+fn budget(text: &str, ratio: bool) -> Option<f64> {
+    let v: f64 = text.parse().ok()?;
+    (v.is_finite() && v >= 0.0 && !(ratio && v == 0.0)).then_some(v)
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("--validate") => {
-            let [_, path] = args.as_slice() else { usage() };
-            let contents = load(path);
-            println!(
-                "{path}: valid ({} manifests, {} records, {} bench lines, {} trace lines{})",
-                contents.manifests.len(),
-                contents.records.len(),
-                contents.benches.len(),
-                contents.traces.len(),
-                if contents.truncated_tail {
-                    ", torn tail skipped"
-                } else {
-                    ""
-                }
-            );
-            return;
-        }
-        Some("--check-json") => {
-            let [_, path] = args.as_slice() else { usage() };
-            check_json(path);
-        }
-        Some("--render-bench") => {
-            let [_, store_path, out_path] = args.as_slice() else {
-                usage()
-            };
-            render_bench(store_path, out_path);
-        }
-        _ => {}
+    if args.first().is_some_and(|a| a == "--validate") {
+        let [_, path] = args.as_slice() else { usage() };
+        let contents = load(path);
+        println!(
+            "{path}: valid ({} manifests, {} records, {} bench lines, {} trace lines{})",
+            contents.manifests.len(),
+            contents.records.len(),
+            contents.benches.len(),
+            contents.traces.len(),
+            if contents.truncated_tail {
+                ", torn tail skipped"
+            } else {
+                ""
+            }
+        );
+        return;
     }
     let mut policy = RegressPolicy::default();
     let mut paths = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let mut flag = |target: &mut f64| match it.next().and_then(|v| v.parse().ok()) {
+        let (target, ratio) = match arg.as_str() {
+            "--time-ratio" => (&mut policy.max_time_ratio, true),
+            "--quality-ratio" => (&mut policy.max_quality_ratio, true),
+            "--min-wall-ms" => (&mut policy.min_wall_ms, false),
+            "--phase-share-drift" => (&mut policy.max_phase_share_drift, false),
+            _ if arg.starts_with("--") => usage(),
+            _ => {
+                paths.push(arg.clone());
+                continue;
+            }
+        };
+        match it.next().and_then(|v| budget(v, ratio)) {
             Some(v) => *target = v,
             None => usage(),
-        };
-        match arg.as_str() {
-            "--time-ratio" => flag(&mut policy.max_time_ratio),
-            "--quality-ratio" => flag(&mut policy.max_quality_ratio),
-            "--min-wall-ms" => flag(&mut policy.min_wall_ms),
-            "--phase-share-drift" => flag(&mut policy.max_phase_share_drift),
-            "--scaling-drop" => flag(&mut policy.max_scaling_drop),
-            _ if arg.starts_with("--") => usage(),
-            _ => paths.push(arg.clone()),
         }
     }
     let [baseline_path, candidate_path] = paths.as_slice() else {
@@ -222,20 +109,13 @@ fn main() {
         &policy,
     ));
     findings.extend(compare_traces(&baseline.traces, &candidate.traces, &policy));
-    findings.extend(compare_scaling(
-        &baseline.traces,
-        &candidate.traces,
-        &policy,
-    ));
     if findings.is_empty() {
         println!(
             "regress: OK — {candidate_path} holds the line against {baseline_path} \
-             (time budget {:.0}%, quality budget {:.0}%, phase-share budget {:.0}pp, \
-             scaling budget {:.0}%)",
+             (time budget {:.0}%, quality budget {:.0}%, phase-share budget {:.0}pp)",
             (policy.max_time_ratio - 1.0) * 100.0,
             (policy.max_quality_ratio - 1.0) * 100.0,
             policy.max_phase_share_drift * 100.0,
-            policy.max_scaling_drop * 100.0,
         );
         return;
     }

@@ -12,7 +12,8 @@
 //! * **Store** — [`store::RunStore`] is an append-only JSONL file with a
 //!   versioned schema ([`store::SCHEMA_VERSION`]) holding sweep
 //!   manifests (solver specs, workloads, seeds, fault plan, git
-//!   describe), per-cell run records, and criterion bench measurements.
+//!   describe), per-cell run records, and bench measurements (load
+//!   percentiles from `kw-load` and `serve_smoke`).
 //!   Appends are crash-safe (one flushed write per line; torn tails are
 //!   repaired on open) and stores replay into an [`ExperimentCache`], so
 //!   a killed sweep resumes by solving only its missing cells.

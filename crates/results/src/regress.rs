@@ -31,14 +31,6 @@ pub struct RegressPolicy {
     /// immune to the machine being uniformly faster or slower; it fires
     /// only when the *shape* of where time goes changes.
     pub max_phase_share_drift: f64,
-    /// A multi-thread trace's speedup over the matching 1-thread trace
-    /// (`total_us(1T) / total_us(kT)`) may shrink to at most
-    /// `baseline_speedup × (1 − max_scaling_drop)` (default 0.2 — a run
-    /// that used to scale 2.0× at 4 threads fails below 1.6×). Speedups
-    /// are ratios of same-machine runs, so this gate is immune to the
-    /// box being uniformly faster or slower; it fires only when threads
-    /// stop paying off relative to the recorded baseline.
-    pub max_scaling_drop: f64,
 }
 
 impl Default for RegressPolicy {
@@ -48,7 +40,6 @@ impl Default for RegressPolicy {
             max_quality_ratio: 1.02,
             min_wall_ms: 0.05,
             max_phase_share_drift: 0.15,
-            max_scaling_drop: 0.2,
         }
     }
 }
@@ -127,20 +118,6 @@ pub enum Regression {
         /// Fresh share of phase time, in [0, 1].
         fresh: f64,
     },
-    /// A traced workload's multi-thread speedup over its own 1-thread
-    /// run shrank beyond the scaling tolerance.
-    Scaling {
-        /// Solver spec of the regressing trace.
-        solver: String,
-        /// Workload label (chaos folded in as `workload (chaos:spec)`).
-        workload: String,
-        /// Worker thread count of the regressing trace.
-        threads: usize,
-        /// Baseline speedup `total_us(1T) / total_us(kT)`.
-        baseline: f64,
-        /// Fresh speedup on the same key.
-        fresh: f64,
-    },
 }
 
 impl fmt::Display for Regression {
@@ -202,16 +179,6 @@ impl fmt::Display for Regression {
                 "PHASE    {solver} on {workload}: {phase} share {:.0}% -> {:.0}% of phase time",
                 100.0 * baseline,
                 100.0 * fresh
-            ),
-            Regression::Scaling {
-                solver,
-                workload,
-                threads,
-                baseline,
-                fresh,
-            } => write!(
-                f,
-                "SCALING  {solver} on {workload}@{threads}t: speedup vs 1t {baseline:.2}x -> {fresh:.2}x"
             ),
         }
     }
@@ -367,74 +334,6 @@ pub fn compare_traces(
                     fresh: f,
                 });
             }
-        }
-    }
-    findings
-}
-
-/// Gates multi-thread scaling: for every `(solver, workload, chaos, k)`
-/// with `k > 1` that has a matching 1-thread trace on the *same side*,
-/// the speedup is `total_us(1T) / total_us(kT)` — threads are only
-/// credited against the same workload on the same machine. A fresh
-/// speedup below `baseline_speedup × (1 − max_scaling_drop)` is a
-/// [`Regression::Scaling`] finding. Keys missing a 1-thread anchor (on
-/// either side) or absent from the fresh traces are skipped, like
-/// [`compare_traces`]: profile runs cover whatever matrix they chose.
-/// Duplicates keep the last per key (re-profiles append).
-pub fn compare_scaling(
-    baseline: &[TraceRecord],
-    fresh: &[TraceRecord],
-    policy: &RegressPolicy,
-) -> Vec<Regression> {
-    let latest = |records: &[TraceRecord], t: &TraceRecord, threads: usize| -> Option<u64> {
-        records
-            .iter()
-            .rev()
-            .find(|r| {
-                r.solver == t.solver
-                    && r.workload == t.workload
-                    && r.chaos == t.chaos
-                    && r.summary.threads == threads
-            })
-            .map(|r| r.summary.total_us)
-    };
-    let speedup = |records: &[TraceRecord], t: &TraceRecord| -> Option<f64> {
-        let one = latest(records, t, 1)?;
-        let multi = latest(records, t, t.summary.threads)?;
-        (multi > 0).then(|| one as f64 / multi as f64)
-    };
-    let mut findings = Vec::new();
-    let mut seen = Vec::new();
-    for base in baseline.iter().rev() {
-        if base.summary.threads <= 1 {
-            continue;
-        }
-        let k = (
-            base.solver.clone(),
-            base.workload.clone(),
-            base.chaos.clone(),
-            base.summary.threads,
-        );
-        if seen.contains(&k) {
-            continue; // latest baseline per key wins
-        }
-        seen.push(k);
-        let (Some(b), Some(f)) = (speedup(baseline, base), speedup(fresh, base)) else {
-            continue;
-        };
-        if f < b * (1.0 - policy.max_scaling_drop) {
-            let workload = if base.chaos.is_empty() {
-                base.workload.clone()
-            } else {
-                format!("{} (chaos:{})", base.workload, base.chaos)
-            };
-            findings.push(Regression::Scaling {
-                solver: base.solver.clone(),
-                workload,
-                threads: base.summary.threads,
-                baseline: b,
-                fresh: f,
-            });
         }
     }
     findings
@@ -614,37 +513,6 @@ mod tests {
         // Re-profiles append: the latest fresh trace is the one gated.
         let appended = vec![trace(4, 1, 700), trace(4, 1, 0)];
         assert!(compare_traces(&base, &appended, &RegressPolicy::default()).is_empty());
-    }
-
-    #[test]
-    fn scaling_gate_fires_on_lost_speedup() {
-        // trace(threads, scale, 0) has total_us = 1000 * scale, so the
-        // baseline speedup at 4 threads is 10000 / 5000 = 2.0x.
-        let base = vec![trace(1, 10, 0), trace(4, 5, 0)];
-        // Fresh speedup 10000 / 7000 = 1.43x < 2.0 * 0.8: flagged.
-        let degraded = vec![trace(1, 10, 0), trace(4, 7, 0)];
-        let findings = compare_scaling(&base, &degraded, &RegressPolicy::default());
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert!(matches!(
-            &findings[0],
-            Regression::Scaling { solver, workload, threads: 4, baseline, fresh }
-                if solver == "kw:k=2" && workload == "flood10k"
-                    && (*baseline - 2.0).abs() < 1e-9 && *fresh < 1.6
-        ));
-        // 1.67x is within the default 20% drop budget of 2.0x.
-        let ok = vec![trace(1, 10, 0), trace(4, 6, 0)];
-        assert!(compare_scaling(&base, &ok, &RegressPolicy::default()).is_empty());
-        // Speedups are ratios: a uniformly 3x slower box still passes.
-        let slower_box = vec![trace(1, 30, 0), trace(4, 15, 0)];
-        assert!(compare_scaling(&base, &slower_box, &RegressPolicy::default()).is_empty());
-        // No 1-thread anchor on the fresh side: skipped, not a finding.
-        let no_anchor = vec![trace(4, 7, 0)];
-        assert!(compare_scaling(&base, &no_anchor, &RegressPolicy::default()).is_empty());
-        // Missing fresh traces entirely: skipped, like compare_traces.
-        assert!(compare_scaling(&base, &[], &RegressPolicy::default()).is_empty());
-        // Re-profiles append; the latest fresh measurement is gated.
-        let recovered = vec![trace(1, 10, 0), trace(4, 7, 0), trace(4, 5, 0)];
-        assert!(compare_scaling(&base, &recovered, &RegressPolicy::default()).is_empty());
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //!   workload labels, seeds, and the chaos plan (canonical spec);
 //! * `record` — one per solved `(solver, workload, seed)` cell (a
 //!   serialized [`RunRecord`]);
-//! * `bench` — one criterion measurement (group, id, best-of-N ms), so
-//!   engine benchmarks share the same durable format as experiments;
+//! * `bench` — one named measurement (group, id, ms), so load runs
+//!   (`kw-load`, `serve_smoke`) share the same durable format as
+//!   experiments;
 //! * `trace` — one profiled solve's where-does-time-go rollup (a
 //!   [`kw_trace::TraceSummary`]: per-phase totals, fork/join barrier
 //!   time, worker imbalance, the structure fingerprint, and the full

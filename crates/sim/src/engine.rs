@@ -53,8 +53,9 @@
 //! the prefix weight `arcs(0..v) + NODE_COST·v`, so each chunk carries
 //! roughly equal placement work even on skewed degree distributions
 //! (uniform node-count chunks peaked at 1.6–1.7× max/mean busy time on
-//! G(n,p); see `exp_o1_profile`). Boundaries are recomputed on every
-//! churn rebuild against the new CSR plane. All three parallel phases —
+//! G(n,p); `kwperf` reports the residual as `sim.imbalance`).
+//! Boundaries are recomputed on every churn rebuild against the new CSR
+//! plane. All three parallel phases —
 //! compute, send staging, delivery placement — are driven by one
 //! persistent [`WorkerPool`](crate::pool::WorkerPool) spawned per run:
 //! each phase hands the pool one boxed job per chunk and the pool runs

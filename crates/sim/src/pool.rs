@@ -2,15 +2,15 @@
 //!
 //! The engine's three parallel phases (compute, send-staging, delivery
 //! placement) used to each open a fresh [`std::thread::scope`] every
-//! round — spawn lead + join tail per phase per round, which
-//! `exp_o1_profile` measured at 26–35% of flood wall time at 2–8
-//! workers. This module replaces that with a pool spawned **once per
-//! [`Engine::run`](crate::Engine::run)**: workers park on a condvar and
-//! each phase is published to them as an *epoch* — a monotone counter
-//! plus a job pointer. Dispatch is two uncontended lock acquisitions
-//! and one `notify_all` per phase instead of N thread spawns, so the
-//! per-phase synchronization cost becomes an epoch *wait*, not a
-//! spawn/join.
+//! round — spawn lead + join tail per phase per round, which the trace
+//! plane measured at 26–35% of flood wall time at 2–8 workers
+//! (`docs/BENCH_HISTORY.md`). This module replaces that with a pool
+//! spawned **once per [`Engine::run`](crate::Engine::run)**: workers
+//! park on a condvar and each phase is published to them as an *epoch*
+//! — a monotone counter plus a job pointer. Dispatch is two uncontended
+//! lock acquisitions and one `notify_all` per phase instead of N thread
+//! spawns, so the per-phase synchronization cost becomes an epoch
+//! *wait*, not a spawn/join.
 //!
 //! # Execution model
 //!

@@ -17,10 +17,9 @@
 //! only when a tracer is installed. Worker threads never touch the
 //! slot — parallel phases report `(start, end)` tick pairs *by value*
 //! back to the driving thread, which flushes them onto per-chunk worker
-//! tracks after the join ([`Tracer::end_parallel`]). The [`NullTracer`]
-//! implements the same [`SpanSink`] surface as a compile-out reference;
-//! `benches/overhead.rs` A/B-times all three states (null / installed /
-//! empty slot).
+//! tracks after the join ([`Tracer::end_parallel`]). The `kwperf`
+//! benchmark reports what a traced solve costs over an untraced one
+//! (`trace.overhead_share`).
 //!
 //! ## Determinism contract
 //!
@@ -38,9 +37,8 @@
 //! [`Tracer::chrome_json`] renders the Chrome trace-event format — load
 //! the file at <https://ui.perfetto.dev> or `chrome://tracing` to see
 //! rounds, phases, per-worker chunk spans, and barrier gaps on a
-//! timeline. [`TraceSummary::to_markdown`] renders the self-profile
-//! table (per-phase totals and shares, imbalance) that `exp_o1_profile`
-//! and the run-store rollups print.
+//! timeline. [`TraceSummary::to_markdown`] renders one run's
+//! self-profile table (per-phase totals and shares, imbalance).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -485,48 +483,6 @@ impl TraceSummary {
     }
 }
 
-/// Minimal recording surface shared by [`Tracer`] and [`NullTracer`],
-/// so the overhead bench can time the same call sequence against both.
-pub trait SpanSink {
-    /// Opens a span.
-    fn begin(&mut self, label: &'static str);
-    /// Closes the innermost span.
-    fn end(&mut self);
-    /// Records one round sample.
-    fn sample(&mut self, s: RoundSample);
-}
-
-impl SpanSink for Tracer {
-    fn begin(&mut self, label: &'static str) {
-        Tracer::begin(self, label);
-    }
-
-    fn end(&mut self) {
-        Tracer::end(self);
-    }
-
-    fn sample(&mut self, s: RoundSample) {
-        Tracer::sample(self, s);
-    }
-}
-
-/// The compile-out reference: every operation is an inlined no-op, so
-/// code generic over [`SpanSink`] monomorphizes to nothing. The A/B
-/// bench proves the "zero cost when disabled" claim against this.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullTracer;
-
-impl SpanSink for NullTracer {
-    #[inline(always)]
-    fn begin(&mut self, _label: &'static str) {}
-
-    #[inline(always)]
-    fn end(&mut self) {}
-
-    #[inline(always)]
-    fn sample(&mut self, _s: RoundSample) {}
-}
-
 /// Microseconds elapsed since `origin`. Free function so engine worker
 /// threads can tick against a copied origin without any tracer access.
 #[inline]
@@ -766,8 +722,9 @@ mod tests {
             t.spans().len() + t.workers.iter().map(|w| w.spans.len()).sum::<usize>()
         );
         assert!(json.contains("\"name\":\"worker1\""));
-        // Balanced braces is a cheap well-formedness proxy; the real
-        // parse check runs in kw-results against its JSON parser.
+        // Balanced braces is a cheap well-formedness proxy; kw-bench's
+        // trace_determinism test parses real engine exports with
+        // kw_results' JSON parser.
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 

@@ -167,9 +167,14 @@
 //! * [`Summary`](kw_results::summary::Summary) rolls stored records up
 //!   per cell and per solver (mean/p50/p95) and renders markdown or CSV;
 //! * the `regress` binary diffs a candidate store against a baseline and
-//!   exits non-zero on quality or ≥20% time regressions — bench numbers
-//!   (`BENCH_engine.jsonl`) share the same store format via
+//!   exits non-zero on quality or ≥20% time regressions; `kw-load`
+//!   latency percentiles share the same store format via
 //!   `KW_BENCH_STORE`.
+//!
+//! Performance itself is measured in one place: the `kwperf` package at
+//! the repository root times the solve and serve paths end to end and
+//! layer by layer (`BENCHMARK.json` names the workloads and metrics,
+//! `kwperf/METRICS.md` maps each metric to its layer).
 //!
 //! ```no_run
 //! use kw_domset::prelude::*;
@@ -256,12 +261,10 @@
 //! barrier or leaked threads. `threads` is a first-class knob at every
 //! layer: [`SolveContext::threads`](kw_core::solver::SolveContext),
 //! the run store (schema v4 keys records by it — outcomes are
-//! thread-invariant but wall times are not), `POST /solve` bodies and
-//! the `scaling` request mix, and the `exp_s0_scaling` experiment plus
-//! `regress`'s scaling gate
-//! ([`compare_scaling`](kw_results::regress::compare_scaling),
-//! `--scaling-drop`), which watches each multi-thread cell's speedup
-//! against its own 1-thread anchor.
+//! thread-invariant but wall times are not), `POST /solve` bodies, and
+//! the `scaling` request mix. The `kwperf` benchmark's `solve-gnp100k`
+//! workload solves at 2 threads and checks every answer against the
+//! 1-thread one.
 //!
 //! # Chaos, churn, and adversaries
 //!
@@ -334,10 +337,10 @@
 //!   cannot express.
 //!
 //! Instrumentation sites use [`kw_trace::with_active`], which is a
-//! single thread-local check when no tracer is installed — the
-//! disabled path benches within noise of untraced code
-//! (`crates/trace/benches/overhead.rs` is the A/B harness), so the
-//! spans stay compiled in unconditionally.
+//! single thread-local check when no tracer is installed — a paired A/B
+//! against the uninstrumented engine measured the disabled path within
+//! machine noise (`docs/BENCH_HISTORY.md`), so the spans stay compiled
+//! in unconditionally.
 //!
 //! **Determinism contract.** Trace *structure* — the span tree, its
 //! labels and nesting, the round samples, and the FNV structure hash
@@ -365,11 +368,11 @@
 //! **Flame views.** [`Tracer::chrome_json`](kw_trace::Tracer::chrome_json)
 //! renders the span tree as Chrome trace-event JSON — load the file in
 //! [Perfetto](https://ui.perfetto.dev) or `chrome://tracing` (main
-//! track plus one track per worker). `exp_o1_profile` is the canonical
-//! producer: it attributes flood/ping engine time across 1/2/4/8
-//! workers (ROADMAP item (i)), writes the attribution table, the trace
-//! store, and a Chrome trace, and `regress --check-json` validates the
-//! export in CI's `profile_smoke` step.
+//! track plus one track per worker);
+//! `crates/bench/tests/trace_determinism.rs` parses engine exports at
+//! 1/2/8 workers and checks they hold one event per track and span. For
+//! the benchmark workloads, `kwperf --trace 1` reports the same per-phase
+//! attribution as its `sim.*_share` metrics.
 //!
 //! # Serving solves (`kw-serve` / `kw-load`)
 //!
