@@ -204,10 +204,12 @@ mod tests {
 
     #[test]
     fn pipeline_output_stitches() {
-        use kw_core::{Pipeline, PipelineConfig};
+        use kw_core::{DsSolver, FractionalSolver, PipelineSolver, SolveContext};
         let mut rng = SmallRng::seed_from_u64(7);
         let g = generators::unit_disk(120, 0.18, &mut rng);
-        let out = Pipeline::new(PipelineConfig::default()).run(&g, 3).unwrap();
+        let out = PipelineSolver::new(2, FractionalSolver::Alg3)
+            .solve(&g, &SolveContext::seeded(3))
+            .unwrap();
         let cds = connect(&g, &out.dominating_set);
         assert!(cds.is_dominating(&g));
         assert!(is_connected_within(&g, &cds));

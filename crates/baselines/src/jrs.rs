@@ -286,7 +286,7 @@ pub fn run_jrs(g: &CsrGraph, seed: u64) -> Result<JrsRun, kw_sim::SimError> {
         max_rounds: 6 * 200 * logn * logn,
         ..Default::default()
     };
-    let report = Engine::new(g, config, |info| JrsProtocol::new(info.degree)).run()?;
+    let report = Engine::new(g, config, |info| JrsProtocol::new(info.degree)).run(&mut ())?;
     let mut set = DominatingSet::new(g);
     for (i, &joined) in report.outputs.iter().enumerate() {
         if joined {

@@ -156,7 +156,7 @@ pub fn run_luby_mis(g: &CsrGraph, seed: u64) -> Result<MisRun, kw_sim::SimError>
         max_rounds: budget,
         ..Default::default()
     };
-    let report = Engine::new(g, config, |info| LubyProtocol::new(info.id)).run()?;
+    let report = Engine::new(g, config, |info| LubyProtocol::new(info.id)).run(&mut ())?;
     let mut set = DominatingSet::new(g);
     for (i, &in_mis) in report.outputs.iter().enumerate() {
         if in_mis {

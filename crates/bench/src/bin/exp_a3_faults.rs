@@ -20,7 +20,7 @@ use kw_bench::stats;
 use kw_bench::table::Table;
 use kw_core::solver::{SolveContext, SolverRegistry};
 use kw_graph::generators;
-use kw_sim::FaultPlan;
+use kw_sim::ChaosPlan;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -54,7 +54,9 @@ fn main() {
         for seed in 0..seeds {
             let ctx = SolveContext {
                 seed,
-                faults: FaultPlan::drop_with_probability(drop, seed ^ 0xfa).into(),
+                faults: ChaosPlan::reliable()
+                    .with_drop(drop)
+                    .with_fault_seed(seed ^ 0xfa),
                 ..SolveContext::default()
             };
             let report = solver.solve(&g, &ctx).expect("pipeline runs");

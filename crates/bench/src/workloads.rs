@@ -7,7 +7,7 @@
 //! registry landed, a workload can also be an **externally loaded
 //! graph** ([`Workload::Dimacs`]): a real DIMACS-challenge file parsed
 //! leniently at build time, validated against the bundled
-//! [`instances`](crate::instances) registry when it names a bundled
+//! [`instances`] registry when it names a bundled
 //! instance.
 //!
 //! # Spec grammar

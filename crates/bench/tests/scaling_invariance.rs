@@ -33,11 +33,11 @@ fn run(g: &CsrGraph, chaos: &ChaosPlan, threads: usize, ping: bool) -> Fingerpri
     kw_trace::with_active(|t| t.begin("solve"));
     let report = if ping {
         Engine::new(g, cfg, |info| Ping::new(u64::from(info.id.raw()), 6))
-            .run()
+            .run(&mut ())
             .expect("run succeeds")
     } else {
         Engine::new(g, cfg, |info| Flood::new(u64::from(info.id.raw()), 6))
-            .run()
+            .run(&mut ())
             .expect("run succeeds")
     };
     let mut tracer = kw_trace::take().expect("tracer installed");
@@ -117,12 +117,12 @@ fn both_shapes_are_thread_invariant() {
         };
         if ping {
             Engine::new(&g, cfg, |info| Ping::new(u64::from(info.id.raw()), 5))
-                .run()
+                .run(&mut ())
                 .expect("reliable run")
                 .outputs
         } else {
             Engine::new(&g, cfg, |info| Flood::new(u64::from(info.id.raw()), 5))
-                .run()
+                .run(&mut ())
                 .expect("reliable run")
                 .outputs
         }

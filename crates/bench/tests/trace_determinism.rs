@@ -78,7 +78,7 @@ fn engine_fingerprint(
         acc: u64::from(info.id.raw()),
         rounds_left: 5,
     })
-    .run()
+    .run(&mut ())
     .expect("reliable run");
     let mut tracer = kw_trace::take().expect("tracer installed");
     tracer.finish();

@@ -261,7 +261,7 @@ pub fn run_alg2(g: &CsrGraph, k: u32, engine: EngineConfig) -> Result<Alg2Run, C
     validate_k(k)?;
     let delta = g.max_degree();
     let report = Engine::new(g, engine, |info| Alg2Protocol::new(k, delta, info.degree))
-        .run()
+        .run(&mut ())
         .map_err(CoreError::Sim)?;
     let mut xs = Vec::with_capacity(g.len());
     let mut gray = Vec::with_capacity(g.len());

@@ -464,7 +464,7 @@ pub struct Alg3Run {
 pub fn run_alg3(g: &CsrGraph, k: u32, engine: EngineConfig) -> Result<Alg3Run, CoreError> {
     validate_k(k)?;
     let report = Engine::new(g, engine, |info| Alg3Protocol::new(k, info.degree))
-        .run()
+        .run(&mut ())
         .map_err(CoreError::Sim)?;
     let mut xs = Vec::with_capacity(g.len());
     let mut gray = Vec::with_capacity(g.len());

@@ -1,7 +1,8 @@
 //! The full Theorem-6 algorithm as a **single** node program.
 //!
-//! [`Pipeline`](crate::Pipeline) composes Algorithm 3 and Algorithm 1 as
-//! two engine runs, mirroring the paper's modular presentation. In a real
+//! [`PipelineSolver`](crate::PipelineSolver) (registry name `kw`)
+//! composes Algorithm 3 and Algorithm 1 as two engine runs, mirroring the
+//! paper's modular presentation. In a real
 //! deployment there is only one network: every node runs one program that
 //! transitions from the LP phase into the rounding phase on its own. This
 //! module provides that program ([`CompositeProtocol`]), which
@@ -182,9 +183,10 @@ pub struct CompositeRun {
 
 /// Runs the entire Theorem-6 algorithm as one protocol on one engine.
 ///
-/// Semantically identical to [`Pipeline`](crate::Pipeline) with the
-/// default solver; useful when a single uninterrupted metrics trace is
-/// wanted.
+/// The same algorithm as [`PipelineSolver`](crate::PipelineSolver) with
+/// Algorithm 3 as its fractional stage (the rounding draws use the run
+/// seed rather than a derived one, so individual sets differ); useful
+/// when a single uninterrupted metrics trace is wanted.
 ///
 /// # Errors
 ///
@@ -200,7 +202,7 @@ pub fn run_composite(
     let report = Engine::new(g, engine, |info| {
         CompositeProtocol::new(k, rounding, info.degree)
     })
-    .run()
+    .run(&mut ())
     .map_err(CoreError::Sim)?;
     let mut set = DominatingSet::new(g);
     let mut xs = Vec::with_capacity(g.len());

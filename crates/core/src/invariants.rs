@@ -272,7 +272,7 @@ pub fn run_alg2_checked(
     let delta = g.max_degree();
     let mut checker = Alg2Checker::new(g, k);
     let report = Engine::new(g, engine, |info| Alg2Protocol::new(k, delta, info.degree))
-        .run_with_observer(&mut checker)
+        .run(&mut checker)
         .map_err(CoreError::Sim)?;
     let mut xs = Vec::with_capacity(g.len());
     let mut gray = Vec::with_capacity(g.len());
@@ -463,7 +463,7 @@ pub fn run_alg3_checked(
     crate::alg2::validate_k(k)?;
     let mut checker = Alg3Checker::new(g, k);
     let report = Engine::new(g, engine, |info| Alg3Protocol::new(k, info.degree))
-        .run_with_observer(&mut checker)
+        .run(&mut checker)
         .map_err(CoreError::Sim)?;
     let mut xs = Vec::with_capacity(g.len());
     let mut gray = Vec::with_capacity(g.len());

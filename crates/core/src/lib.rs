@@ -15,8 +15,9 @@
 //!   the remark's alternative multiplier;
 //! * [`weighted`] — the weighted fractional dominating set variant
 //!   (remark after Theorem 4);
-//! * [`pipeline`] — the composed algorithm of Theorem 6: expected
-//!   `O(k·Δ^{2/k}·log Δ)`-approximate dominating sets in `O(k²)` rounds;
+//! * [`PipelineSolver`] — the composed algorithm of Theorem 6 (registry
+//!   name `kw`): expected `O(k·Δ^{2/k}·log Δ)`-approximate dominating
+//!   sets in `O(k²)` rounds;
 //! * [`composite`] — the same algorithm as a *single* node program on a
 //!   single engine run (`4k² + 2k + 2` rounds), for uninterrupted
 //!   end-to-end metrics;
@@ -31,14 +32,15 @@
 //!
 //! ```
 //! use kw_graph::generators;
-//! use kw_core::{math, Pipeline, PipelineConfig};
+//! use kw_core::{math, SolveContext, SolverRegistry};
 //!
 //! let g = generators::star_of_cliques(5, 6);
-//! let outcome = Pipeline::new(PipelineConfig { k: 2, ..Default::default() }).run(&g, 1)?;
-//! assert!(outcome.dominating_set.is_dominating(&g));
+//! let solver = SolverRegistry::with_core_solvers().build("kw:k=2")?;
+//! let report = solver.solve(&g, &SolveContext::seeded(1))?;
+//! assert!(report.dominating_set.is_dominating(&g));
 //! // O(k²) rounds: 4k² + 2k for Algorithm 3, plus 2 for the rounding.
-//! assert_eq!(outcome.total_rounds(), math::alg3_rounds(2) + 2);
-//! # Ok::<(), kw_core::CoreError>(())
+//! assert_eq!(report.rounds(), math::alg3_rounds(2) + 2);
+//! # Ok::<(), kw_core::SolveError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -50,13 +52,12 @@ pub mod composite;
 mod error;
 pub mod invariants;
 pub mod math;
-pub mod pipeline;
 pub mod rounding;
 pub mod solver;
 pub mod weighted;
 
 pub use error::CoreError;
-pub use pipeline::{FractionalSolver, Pipeline, PipelineConfig, PipelineOutcome};
 pub use solver::{
-    DsSolver, ExperimentRunner, SolveContext, SolveError, SolveReport, SolverRegistry,
+    DsSolver, ExperimentRunner, FractionalSolver, PipelineSolver, SolveContext, SolveError,
+    SolveReport, SolverRegistry,
 };

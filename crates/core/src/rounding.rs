@@ -280,7 +280,7 @@ pub fn run_rounding(
     let report = Engine::new(g, engine, |info| {
         Alg1Protocol::new(config, x.get(info.id), info.degree)
     })
-    .run()
+    .run(&mut ())
     .map_err(CoreError::Sim)?;
     Ok(collect(g, report))
 }
@@ -318,7 +318,7 @@ pub fn run_rounding_with_delta2(
             delta2[info.id.index()],
         )
     })
-    .run()
+    .run(&mut ())
     .map_err(CoreError::Sim)?;
     Ok(collect(g, report))
 }

@@ -31,10 +31,10 @@ use super::runner::RunOutcome;
 /// besides the seed that changes results) plus the [`RunOutcome`].
 ///
 /// This is exactly the information the `kw_results` run store persists
-/// per line, and exactly what [`ExperimentCache::insert_outcome`] needs
+/// per line, and exactly what [`ExperimentCache::insert_record`] needs
 /// to replay a run without re-solving it.
 ///
-/// [`ExperimentCache::insert_outcome`]: super::ExperimentCache::insert_outcome
+/// [`ExperimentCache::insert_record`]: super::ExperimentCache::insert_record
 #[derive(Clone, Debug, PartialEq)]
 pub struct RunRecord {
     /// Canonical solver spec (e.g. `"kw:k=2"`).

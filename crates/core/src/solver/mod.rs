@@ -52,9 +52,11 @@ use kw_sim::{ChaosPlan, RunMetrics, SimError};
 use crate::CoreError;
 
 pub use events::{RunEvent, RunRecord};
-pub use pipeline_solvers::{CompositeSolver, PipelineSolver};
+pub use pipeline_solvers::{CompositeSolver, FractionalSolver, PipelineSolver};
 pub use registry::SolverRegistry;
-pub use runner::{CellSummary, ExperimentCache, ExperimentRunner, RunOutcome, SummaryStats};
+pub use runner::{
+    solve_cell, CellSummary, ExperimentCache, ExperimentRunner, RunOutcome, SummaryStats,
+};
 pub use spec::SolverSpec;
 
 /// Execution environment of a solve call.
@@ -71,8 +73,9 @@ pub struct SolveContext {
     /// `0` = all available cores). Never affects results.
     pub threads: usize,
     /// Chaos model — iid losses, drop bursts, crashes, byzantine senders,
-    /// churn (defaults to the paper's reliable network). A plain
-    /// [`kw_sim::FaultPlan`] converts via `.into()`.
+    /// churn (defaults to the paper's reliable network). It is part of a
+    /// cell's identity: caches and stores key outcomes by its canonical
+    /// [`ChaosPlan::spec`].
     pub faults: ChaosPlan,
     /// Whether to attach a quality [`Certificate`] to reports
     /// (verification + Lemma-1 ratio; costs one `is_dominating` pass).
@@ -340,11 +343,13 @@ pub enum SolveError {
     Core(CoreError),
     /// A simulation-level failure.
     Sim(SimError),
-    /// A solver panicked inside an [`ExperimentRunner`] worker; the
-    /// runner converts the unwind into this error (and a `CellFailed`
-    /// event in streaming mode) instead of poisoning the sweep.
+    /// A solver panicked, or broke its contract by returning no
+    /// certificate, inside [`solve_cell`]; sweeps turn this into a
+    /// `CellFailed` event instead of poisoning the run, and `kw-serve`
+    /// answers 500.
     Panicked {
-        /// The panic payload's message, when it was a string.
+        /// The cell id, then the panic payload's message (when it was a
+        /// string).
         reason: String,
     },
     /// Two workloads in one matrix share a label. Labels key the

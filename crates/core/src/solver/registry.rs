@@ -3,8 +3,9 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use crate::pipeline::FractionalSolver;
-use crate::solver::{CompositeSolver, DsSolver, PipelineSolver, SolveError, SolverSpec};
+use crate::solver::{
+    CompositeSolver, DsSolver, FractionalSolver, PipelineSolver, SolveError, SolverSpec,
+};
 
 /// A factory building a solver from its parsed spec. The registry passes
 /// itself back in so combinator solvers can resolve their inner spec.

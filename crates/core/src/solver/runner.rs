@@ -12,7 +12,7 @@ use std::time::Instant;
 use kw_graph::CsrGraph;
 
 use crate::solver::events::{RunEvent, RunRecord};
-use crate::solver::{traced_solve, DsSolver, SolveContext, SolveError};
+use crate::solver::{traced_solve, DsSolver, SolveContext, SolveError, SolveReport};
 
 /// The numbers a [`CellSummary`] aggregates from one `(solver, workload,
 /// seed)` run — everything the runner (and the `kw_results` run store)
@@ -131,17 +131,9 @@ impl ExperimentCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// The part of a context that (together with the per-run seed) can
-    /// change a run's outcome: the chaos plan, as its canonical spec.
-    fn context_fingerprint(ctx: &SolveContext) -> String {
-        ctx.faults.spec()
-    }
-
     /// Seeds the cache with an already-known outcome, keyed exactly like
     /// a live run under the chaos plan whose canonical spec is `chaos`
-    /// (`""` = reliable). This is the resume hook the `kw_results` run
-    /// store uses: replaying persisted [`RunRecord`]s into a cache makes
-    /// a re-launched sweep solve only missing cells.
+    /// (`""` = reliable).
     ///
     /// Replayed entries count as neither hits nor misses until a sweep
     /// looks them up. Non-canonical specs (e.g. a raw `"chaos:..."`
@@ -166,11 +158,26 @@ impl ExperimentCache {
         self.outcomes.lock().unwrap().insert(key, outcome);
     }
 
+    /// Replays one persisted record into the cache, keyed exactly like
+    /// the live cell that produced it. This is the resume hook of the
+    /// `kw_results` sweep session and of `kw-serve`: replaying a run
+    /// store makes a re-launched sweep solve only missing cells and a
+    /// restarted daemon serve every stored answer warm.
+    pub fn insert_record(&self, r: &RunRecord) {
+        self.insert_outcome(
+            &r.solver,
+            &r.workload,
+            r.seed,
+            &r.chaos,
+            r.threads,
+            r.outcome,
+        );
+    }
+
     /// Looks up the outcome of one `(solver, workload, seed)` cell under
-    /// `ctx`'s fault plan, counting a hit or a miss exactly like a sweep
-    /// would. This is the single-request serving path: where a sweep
-    /// goes through [`ExperimentRunner`], a daemon answering one request
-    /// at a time asks the cache directly and solves only on `None`.
+    /// `ctx`'s chaos plan (its canonical spec) and thread count, counting
+    /// a hit or a miss. Sweep cells and single serving requests both
+    /// look up through here and solve only on `None`.
     pub fn outcome(
         &self,
         solver: &str,
@@ -178,7 +185,21 @@ impl ExperimentCache {
         seed: u64,
         ctx: &SolveContext,
     ) -> Option<RunOutcome> {
-        self.lookup(solver, workload, seed, ctx)
+        let key = (
+            solver.to_string(),
+            workload.to_string(),
+            seed,
+            ctx.faults.spec(),
+            ctx.threads,
+        );
+        let found = self.outcomes.lock().unwrap().get(&key).copied();
+        let counter = if found.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
     }
 
     /// Number of memoized outcomes — e.g. how many answers a restarted
@@ -199,51 +220,65 @@ impl ExperimentCache {
             .get(&(workload.to_string(), seed))
             .cloned()
     }
+}
 
-    fn lookup(
-        &self,
-        solver: &str,
-        workload: &str,
-        seed: u64,
-        ctx: &SolveContext,
-    ) -> Option<RunOutcome> {
-        let key = (
-            solver.to_string(),
-            workload.to_string(),
-            seed,
-            Self::context_fingerprint(ctx),
-            ctx.threads,
-        );
-        let found = self.outcomes.lock().unwrap().get(&key).copied();
-        match found {
-            Some(o) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(o)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+/// The human-readable identity of one cell, prefixed onto failure
+/// messages so a panic deep in a parallel sweep names the exact run to
+/// replay (chaos only when active).
+fn cell_id(solver: &str, label: &str, seed: u64, chaos: &str) -> String {
+    if chaos.is_empty() {
+        format!("{solver} on {label} (seed {seed})")
+    } else {
+        format!("{solver} on {label} (seed {seed}, chaos {chaos})")
     }
+}
 
-    fn store(
-        &self,
-        solver: &str,
-        workload: &str,
-        seed: u64,
-        ctx: &SolveContext,
-        outcome: RunOutcome,
-    ) {
-        let key = (
-            solver.to_string(),
-            workload.to_string(),
-            seed,
-            Self::context_fingerprint(ctx),
-            ctx.threads,
-        );
-        self.outcomes.lock().unwrap().insert(key, outcome);
-    }
+/// Solves one cell — `solver` on the workload labelled `label` under
+/// `ctx` — the way every sweep cell and every `kw-serve` cache miss
+/// does: certificates forced on (they carry the outcome's `dominates`
+/// and ratio, and keep answers interchangeable between sweeps and the
+/// daemon), a panicking solver caught, and the [`RunOutcome`] read off
+/// the certificate with the solve's wall time.
+///
+/// # Errors
+///
+/// The solver's own [`SolveError`]. A panic, or a report without a
+/// certificate, becomes [`SolveError::Panicked`] whose reason starts
+/// with the cell id, `"{solver} on {label} (seed {seed})"` (plus
+/// `", chaos {spec}"` inside the parentheses under a chaos plan).
+pub fn solve_cell(
+    solver: &dyn DsSolver,
+    label: &str,
+    graph: &CsrGraph,
+    ctx: &SolveContext,
+) -> Result<(SolveReport, RunOutcome), SolveError> {
+    let ctx = SolveContext {
+        check_certificates: true,
+        ..ctx.clone()
+    };
+    let panicked = |reason: String| SolveError::Panicked {
+        reason: format!(
+            "{}: {reason}",
+            cell_id(&solver.spec(), label, ctx.seed, &ctx.faults.spec())
+        ),
+    };
+    let start = Instant::now();
+    let report = catch_unwind(AssertUnwindSafe(|| traced_solve(solver, graph, &ctx)))
+        .map_err(|panic| panicked(panic_message(panic)))??;
+    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+    let Some(cert) = report.certificate.as_ref() else {
+        return Err(panicked("solver returned no certificate".to_string()));
+    };
+    let outcome = RunOutcome {
+        dominates: cert.dominates,
+        size: report.size() as f64,
+        rounds: report.rounds() as f64,
+        messages: report.messages() as f64,
+        bits: report.metrics.bits as f64,
+        ratio_vs_lemma1: cert.ratio_vs_lemma1,
+        wall_ms,
+    };
+    Ok((report, outcome))
 }
 
 /// Five-number summary of a sample set.
@@ -509,12 +544,7 @@ impl ExperimentRunner {
         mut emitter: Option<&mut Emitter>,
         counters: &SweepCounters,
     ) -> Result<CellSummary, SolveError> {
-        // Certificates drive the ratio column and failure detection; the
-        // sweep needs them regardless of the base context's preference.
-        let ctx = SolveContext {
-            check_certificates: true,
-            ..self.base.clone()
-        };
+        let ctx = &self.base;
         let chaos = ctx.faults.spec();
         let spec = solver.spec();
         let mut sizes = Vec::new();
@@ -536,74 +566,42 @@ impl ExperimentRunner {
             let cached = self
                 .cache
                 .as_deref()
-                .and_then(|c| c.lookup(&spec, label, seed, &ctx));
+                .and_then(|c| c.outcome(&spec, label, seed, ctx));
             let was_cached = cached.is_some();
             let outcome = match cached {
                 Some(outcome) => {
                     counters.cached.fetch_add(1, Ordering::Relaxed);
                     outcome
                 }
-                None => {
-                    // Human-readable run identity, prefixed onto failure
-                    // messages so a panic deep in a parallel sweep names
-                    // the exact cell to replay (chaos only when active).
-                    let run_id = if chaos == "none" {
-                        format!("{spec} on {label} (seed {seed})")
-                    } else {
-                        format!("{spec} on {label} (seed {seed}, chaos {chaos})")
-                    };
-                    let start = Instant::now();
-                    let report = match catch_unwind(AssertUnwindSafe(|| {
-                        traced_solve(solver, graph, &ctx.with_seed(seed))
-                    })) {
-                        Ok(Ok(report)) => report,
-                        Ok(Err(e)) => {
-                            counters.failed.fetch_add(1, Ordering::Relaxed);
-                            if let Some(em) = emitter.as_deref_mut() {
-                                em.emit(|worker, seq| RunEvent::CellFailed {
-                                    worker,
-                                    seq,
-                                    solver: spec.clone(),
-                                    workload: label.to_string(),
-                                    seed,
-                                    error: format!("{run_id}: {e}"),
-                                });
-                            }
-                            return Err(e);
+                None => match solve_cell(solver, label, graph, &ctx.with_seed(seed)) {
+                    Ok((_, outcome)) => {
+                        if let Some(cache) = self.cache.as_deref() {
+                            cache.insert_outcome(&spec, label, seed, &chaos, ctx.threads, outcome);
                         }
-                        Err(panic) => {
-                            counters.failed.fetch_add(1, Ordering::Relaxed);
-                            let reason = format!("{run_id}: {}", panic_message(panic));
-                            if let Some(em) = emitter.as_deref_mut() {
-                                em.emit(|worker, seq| RunEvent::CellFailed {
-                                    worker,
-                                    seq,
-                                    solver: spec.clone(),
-                                    workload: label.to_string(),
-                                    seed,
-                                    error: format!("worker panicked: {reason}"),
-                                });
-                            }
-                            return Err(SolveError::Panicked { reason });
-                        }
-                    };
-                    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-                    let cert = report.certificate.as_ref().expect("certificates forced on");
-                    let outcome = RunOutcome {
-                        dominates: cert.dominates,
-                        size: report.size() as f64,
-                        rounds: report.rounds() as f64,
-                        messages: report.messages() as f64,
-                        bits: report.metrics.bits as f64,
-                        ratio_vs_lemma1: cert.ratio_vs_lemma1,
-                        wall_ms,
-                    };
-                    if let Some(cache) = self.cache.as_deref() {
-                        cache.store(&spec, label, seed, &ctx, outcome);
+                        counters.solved.fetch_add(1, Ordering::Relaxed);
+                        outcome
                     }
-                    counters.solved.fetch_add(1, Ordering::Relaxed);
-                    outcome
-                }
+                    Err(e) => {
+                        counters.failed.fetch_add(1, Ordering::Relaxed);
+                        if let Some(em) = emitter.as_deref_mut() {
+                            let error = match &e {
+                                SolveError::Panicked { reason } => {
+                                    format!("worker panicked: {reason}")
+                                }
+                                e => format!("{}: {e}", cell_id(&spec, label, seed, &chaos)),
+                            };
+                            em.emit(|worker, seq| RunEvent::CellFailed {
+                                worker,
+                                seq,
+                                solver: spec.clone(),
+                                workload: label.to_string(),
+                                seed,
+                                error,
+                            });
+                        }
+                        return Err(e);
+                    }
+                },
             };
             if let Some(e) = emitter.as_deref_mut() {
                 let record = RunRecord {
@@ -699,6 +697,7 @@ mod tests {
     use super::*;
     use crate::solver::SolverRegistry;
     use kw_graph::generators;
+    use kw_sim::ChaosPlan;
 
     fn workloads() -> Vec<(String, CsrGraph)> {
         vec![
@@ -898,14 +897,13 @@ mod tests {
 
     #[test]
     fn cache_distinguishes_fault_plans() {
-        use kw_sim::FaultPlan;
         let registry = SolverRegistry::with_core_solvers();
         let solvers = registry.build_all(["kw:k=2"]).unwrap();
         let cache = ExperimentCache::new();
         let reliable = ExperimentRunner::new().cache(cache.clone());
         let lossy = ExperimentRunner::new()
             .context(SolveContext {
-                faults: FaultPlan::drop_with_probability(0.4, 5).into(),
+                faults: ChaosPlan::reliable().with_drop(0.4).with_fault_seed(5),
                 ..Default::default()
             })
             .cache(cache.clone());
@@ -931,14 +929,15 @@ mod tests {
     /// (the fingerprint covers both the probability and the seed).
     #[test]
     fn cache_distinguishes_fault_seeds_of_equal_drop_rates() {
-        use kw_sim::FaultPlan;
         let registry = SolverRegistry::with_core_solvers();
         let solvers = registry.build_all(["kw:k=2"]).unwrap();
         let cache = ExperimentCache::new();
         let lossy = |fault_seed: u64| {
             ExperimentRunner::new()
                 .context(SolveContext {
-                    faults: FaultPlan::drop_with_probability(0.3, fault_seed).into(),
+                    faults: ChaosPlan::reliable()
+                        .with_drop(0.3)
+                        .with_fault_seed(fault_seed),
                     ..Default::default()
                 })
                 .cache(cache.clone())
@@ -1059,10 +1058,23 @@ mod tests {
             (result, consumer.join().unwrap())
         });
         assert!(matches!(result, Err(SolveError::Core(_))));
+        let mut failed = 0;
+        for e in &events {
+            if let RunEvent::CellFailed {
+                solver,
+                workload,
+                seed,
+                error,
+                ..
+            } = e
+            {
+                failed += 1;
+                let id = format!("{solver} on {workload} (seed {seed}): ");
+                assert!(error.starts_with(&id), "{error:?} must start with {id:?}");
+            }
+        }
         assert!(
-            events
-                .iter()
-                .any(|e| matches!(e, RunEvent::CellFailed { .. })),
+            failed >= 1,
             "a solve error must surface as a CellFailed event"
         );
         match events.last() {
@@ -1166,7 +1178,7 @@ mod tests {
                         me: info.id.raw() as usize,
                     },
                 )
-                .run();
+                .run(&mut ());
                 unreachable!("the engine panics before returning: {report:?}")
             }
         }
@@ -1184,7 +1196,10 @@ mod tests {
         });
         match result {
             Err(SolveError::Panicked { reason }) => {
-                assert!(reason.contains("poolbomb on grid4 (seed 0"), "{reason}");
+                assert!(
+                    reason.starts_with("poolbomb on grid4 (seed 0): "),
+                    "{reason}"
+                );
                 assert!(reason.contains("pooled phase exploded"), "{reason}");
             }
             other => panic!("expected Panicked, got {other:?}"),
@@ -1202,6 +1217,54 @@ mod tests {
             "{}",
             failed[0]
         );
+    }
+
+    /// A report without a certificate breaks the solver contract; the
+    /// sweep names the cell and fails it like a panic instead of
+    /// unwinding out of the matrix.
+    #[test]
+    fn missing_certificate_fails_the_cell_not_the_sweep() {
+        use std::sync::mpsc::sync_channel;
+
+        struct Uncertified;
+        impl DsSolver for Uncertified {
+            fn spec(&self) -> String {
+                "uncertified".to_string()
+            }
+            fn solve(&self, g: &CsrGraph, ctx: &SolveContext) -> Result<SolveReport, SolveError> {
+                let ctx = SolveContext {
+                    check_certificates: false,
+                    ..ctx.clone()
+                };
+                let ds = kw_graph::DominatingSet::all(g);
+                Ok(crate::solver::ReportBuilder::new("uncertified", ds).finish(g, &ctx))
+            }
+        }
+
+        // Sequential, so exactly one cell fails before the abort.
+        let (tx, rx) = sync_channel(64);
+        let (result, events) = std::thread::scope(|scope| {
+            let consumer = scope.spawn(move || rx.iter().collect::<Vec<RunEvent>>());
+            let result = ExperimentRunner::new().workers(1).run_matrix_streaming(
+                &[Uncertified],
+                &workloads(),
+                0..2,
+                tx,
+            );
+            (result, consumer.join().unwrap())
+        });
+        match result {
+            Err(SolveError::Panicked { reason }) => assert_eq!(
+                reason,
+                "uncertified on grid4 (seed 0): solver returned no certificate"
+            ),
+            other => panic!("expected Panicked, got {other:?}"),
+        }
+        let failed = events
+            .iter()
+            .filter(|e| matches!(e, RunEvent::CellFailed { .. }))
+            .count();
+        assert_eq!(failed, 1);
     }
 
     #[test]
@@ -1283,7 +1346,7 @@ mod tests {
         assert_eq!(cache.hits(), hits_before + 1);
         // A different fault plan is a different cell.
         let faulty = SolveContext {
-            faults: kw_sim::FaultPlan::drop_with_probability(0.5, 7).into(),
+            faults: ChaosPlan::reliable().with_drop(0.5).with_fault_seed(7),
             ..ctx.clone()
         };
         assert!(cache.outcome("kw:k=2", "grid4", 0, &faulty).is_none());

@@ -171,7 +171,7 @@ pub fn run_weighted_alg2(
     let report = Engine::new(g, engine, |info| {
         WeightedAlg2Protocol::new(k, delta, info.degree, weights.get(info.id), c_max)
     })
-    .run()
+    .run(&mut ())
     .map_err(CoreError::Sim)?;
     let xs: Vec<f64> = report.outputs.iter().map(|o| o.x).collect();
     let x = FractionalAssignment::from_values(xs);

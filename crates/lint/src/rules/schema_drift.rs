@@ -43,7 +43,7 @@ const WRITERS: [(&str, &str); 4] = [
 ];
 
 /// The computed shape of the store source: schema version plus one
-/// fingerprint per writer, in [`WRITERS`] order.
+/// fingerprint per writer, in `WRITERS` order.
 pub struct StoreShape {
     pub version: u64,
     pub fingerprints: Vec<(&'static str, u64)>,

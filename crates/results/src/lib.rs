@@ -30,9 +30,7 @@
 //!   hits).
 //! * **Traces** — profiled solves ([`kw_trace`] spans through
 //!   `SolveContext::trace`) persist as `trace` store lines
-//!   ([`store::TraceRecord`]) and roll up per solver × workload ×
-//!   threads via [`summary::TraceRollup`] (phase shares, barrier cost,
-//!   worker imbalance).
+//!   ([`store::TraceRecord`]), which `regress::compare_traces` gates.
 //!
 //! [`ExperimentRunner::run_matrix_streaming`]:
 //!     kw_core::solver::ExperimentRunner::run_matrix_streaming
@@ -55,7 +53,7 @@ pub use render::Table;
 pub use store::{
     load_path, BenchRecord, RunManifest, RunStore, StoreError, TraceRecord, SCHEMA_VERSION,
 };
-pub use summary::{nearest_rank, CellRollup, Percentiles, SolverRollup, Summary, TraceRollup};
+pub use summary::{nearest_rank, CellRollup, Percentiles, SolverRollup, Summary};
 
 // The event types are defined next to the runner that emits them; this
 // crate is their natural home from a consumer's point of view.

@@ -187,14 +187,7 @@ impl SweepSession {
         let cache = ExperimentCache::new();
         let mut shapes = HashMap::new();
         for r in &contents.records {
-            cache.insert_outcome(
-                &r.solver,
-                &r.workload,
-                r.seed,
-                &r.chaos,
-                r.threads,
-                r.outcome,
-            );
+            cache.insert_record(r);
             shapes.insert(r.workload.clone(), (r.n, r.max_degree));
         }
         Ok(SweepSession {

@@ -536,14 +536,7 @@ impl RunStore {
     pub fn replay_into(&self, cache: &ExperimentCache) -> Result<usize, StoreError> {
         let contents = self.load()?;
         for r in &contents.records {
-            cache.insert_outcome(
-                &r.solver,
-                &r.workload,
-                r.seed,
-                &r.chaos,
-                r.threads,
-                r.outcome,
-            );
+            cache.insert_record(r);
         }
         Ok(contents.records.len())
     }
@@ -648,7 +641,10 @@ fn parse_line(line_no: usize, line: &str) -> Result<Line, StoreError> {
         if !(0.0..=1.0).contains(&drop) {
             return Err(corrupt(format!("fault_drop {drop} outside [0, 1]")));
         }
-        Ok(ChaosPlan::from(kw_sim::FaultPlan::drop_with_probability(drop, seed)).spec())
+        Ok(ChaosPlan::reliable()
+            .with_drop(drop)
+            .with_fault_seed(seed)
+            .spec())
     };
     match kind {
         "manifest" => {

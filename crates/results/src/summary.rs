@@ -325,111 +325,6 @@ impl Summary {
     }
 }
 
-/// Where-does-time-go rollup over a store's trace lines: one row per
-/// `(solver, workload, chaos, threads)` key, keeping the latest trace
-/// for each (re-profiles append, the newest is the current state).
-///
-/// The row reports each engine phase's share of total phase time, the
-/// fork/join barrier share, and the worker imbalance ratio — the three
-/// numbers that answer "is this workload compute-bound, delivery-bound,
-/// or coordination-bound at this thread count?".
-#[derive(Clone, Debug, Default)]
-pub struct TraceRollup {
-    /// One row per key, in first-seen order.
-    pub rows: Vec<TraceRow>,
-}
-
-/// One [`TraceRollup`] row.
-#[derive(Clone, Debug)]
-pub struct TraceRow {
-    /// Canonical solver spec.
-    pub solver: String,
-    /// Workload label.
-    pub workload: String,
-    /// Canonical chaos spec (`""` = reliable).
-    pub chaos: String,
-    /// Engine worker count of the profile.
-    pub threads: usize,
-    /// Round count of the profiled solve.
-    pub rounds: u64,
-    /// Wall time of the whole trace, milliseconds.
-    pub total_ms: f64,
-    /// `(phase, share of phase time)` for each of [`kw_trace::PHASES`].
-    pub shares: Vec<(String, f64)>,
-    /// Max worker busy time over mean worker busy time.
-    pub imbalance: f64,
-}
-
-impl TraceRollup {
-    /// Rolls trace records up, keeping the latest per key.
-    pub fn from_traces(traces: &[crate::store::TraceRecord]) -> TraceRollup {
-        let mut rows: Vec<TraceRow> = Vec::new();
-        for t in traces {
-            let row = TraceRow {
-                solver: t.solver.clone(),
-                workload: t.workload.clone(),
-                chaos: t.chaos.clone(),
-                threads: t.summary.threads,
-                rounds: t.summary.rounds,
-                total_ms: t.summary.total_us as f64 / 1e3,
-                shares: kw_trace::PHASES
-                    .iter()
-                    .map(|&p| (p.to_string(), t.summary.phase_share(p)))
-                    .collect(),
-                imbalance: t.summary.imbalance,
-            };
-            let key = |r: &TraceRow| {
-                (
-                    r.solver.clone(),
-                    r.workload.clone(),
-                    r.chaos.clone(),
-                    r.threads,
-                )
-            };
-            match rows.iter_mut().find(|r| key(r) == key(&row)) {
-                Some(existing) => *existing = row,
-                None => rows.push(row),
-            }
-        }
-        TraceRollup { rows }
-    }
-
-    /// Renders the rollup as a GitHub-flavored markdown table (phase
-    /// shares as percentages of phase time).
-    pub fn to_markdown(&self) -> String {
-        let mut out = String::new();
-        out.push_str(
-            "| solver | workload | chaos | threads | rounds | total ms | plan | send | deliver | compute | barrier | imbalance |\n",
-        );
-        out.push_str("|---|---|---|---|---|---|---|---|---|---|---|---|\n");
-        for r in &self.rows {
-            let share = |phase: &str| {
-                r.shares
-                    .iter()
-                    .find(|(p, _)| p == phase)
-                    .map_or(0.0, |&(_, s)| s)
-            };
-            let _ = writeln!(
-                out,
-                "| {} | {} | {} | {} | {} | {:.2} | {:.0}% | {:.0}% | {:.0}% | {:.0}% | {:.0}% | {:.2} |",
-                r.solver,
-                r.workload,
-                if r.chaos.is_empty() { "-" } else { &r.chaos },
-                r.threads,
-                r.rounds,
-                r.total_ms,
-                100.0 * share("plan"),
-                100.0 * share("send"),
-                100.0 * share("deliver"),
-                100.0 * share("compute"),
-                100.0 * share("barrier"),
-                r.imbalance,
-            );
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -636,51 +531,5 @@ mod tests {
         assert!(s.to_csv().contains(",drop=0.2,seed=7,"));
         // The chaos-blind lookup still finds the first variant.
         assert!(s.cell("kw:k=2", "grid").is_some());
-    }
-
-    #[test]
-    fn trace_rollup_keeps_latest_per_key_and_renders_shares() {
-        let trace = |threads: usize, compute_us: u64| crate::store::TraceRecord {
-            solver: "kw:k=2".into(),
-            workload: "flood10k".into(),
-            seed: 42,
-            chaos: String::new(),
-            summary: kw_trace::TraceSummary {
-                threads,
-                rounds: 10,
-                total_us: 2_000,
-                phase_us: vec![
-                    ("barrier".into(), 100),
-                    ("compute".into(), compute_us),
-                    ("deliver".into(), 200),
-                    ("plan".into(), 50),
-                    ("send".into(), 150),
-                ],
-                barrier_us: 100,
-                imbalance: 1.3,
-                pool_wakeups: 0,
-                pool_idle: 0,
-                structure_hash: 1,
-                samples: Vec::new(),
-            },
-        };
-        // Two profiles of the same key: the later one wins. A different
-        // thread count is its own row.
-        let rollup = TraceRollup::from_traces(&[trace(4, 900), trace(4, 500), trace(1, 500)]);
-        assert_eq!(rollup.rows.len(), 2);
-        let row = &rollup.rows[0];
-        assert_eq!((row.threads, row.rounds), (4, 10));
-        // compute share = 500 / (50+150+200+500+100) = 50%.
-        let compute = row
-            .shares
-            .iter()
-            .find(|(p, _)| p == "compute")
-            .map(|&(_, s)| s)
-            .unwrap();
-        assert!((compute - 0.5).abs() < 1e-9);
-        let md = rollup.to_markdown();
-        assert!(md.contains("| kw:k=2 | flood10k | - | 4 |"), "{md}");
-        assert!(md.contains("50%"), "{md}");
-        assert!(md.contains("| 1.30 |"), "{md}");
     }
 }

@@ -15,15 +15,13 @@
 //! a compute service into an outage.
 
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
-use std::time::Instant;
 
 use kw_bench::workloads::Workload;
 use kw_core::solver::{
-    traced_solve, ExperimentCache, RunOutcome, RunRecord, SolveContext, SolverRegistry,
+    solve_cell, ExperimentCache, RunOutcome, RunRecord, SolveContext, SolveError, SolverRegistry,
 };
 use kw_results::json::Json;
 use kw_results::store::{RunStore, StoreError, TraceRecord};
@@ -108,14 +106,7 @@ impl SolveService {
                 let store = RunStore::open(path)?;
                 let contents = store.load()?;
                 for r in &contents.records {
-                    cache.insert_outcome(
-                        &r.solver,
-                        &r.workload,
-                        r.seed,
-                        &r.chaos,
-                        r.threads,
-                        r.outcome,
-                    );
+                    cache.insert_record(r);
                     shapes.insert((r.workload.clone(), r.seed), (r.n, r.max_degree));
                 }
                 // Count *distinct* warmed answers: a store written under
@@ -277,11 +268,7 @@ impl SolveService {
         };
         let spec = solver.spec();
         let label = workload.label();
-        // Certificates forced on, exactly like `ExperimentRunner` cells:
-        // the response's `dominates`/`ratio` fields depend on them, and
-        // a daemon must stay cache-compatible with sweep stores.
         let ctx = SolveContext {
-            check_certificates: true,
             faults,
             trace: want_trace,
             threads,
@@ -316,44 +303,17 @@ impl SolveService {
                 Err(e) => return Response::error(400, e.to_string()),
             },
         };
-        let start = Instant::now();
-        let report = match catch_unwind(AssertUnwindSafe(|| traced_solve(&*solver, &graph, &ctx))) {
-            Ok(Ok(report)) => report,
-            Ok(Err(e)) => return Response::error(422, e.to_string()),
-            Err(panic) => {
+        let (report, outcome) = match solve_cell(&*solver, &label, &graph, &ctx) {
+            Ok(solved) => solved,
+            Err(e @ SolveError::Panicked { .. }) => {
                 self.telemetry.count_panic();
-                let reason = panic
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| panic.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "opaque panic".to_string());
-                let run_id = if chaos.is_empty() {
-                    format!("{spec} on {label} (seed {seed})")
-                } else {
-                    format!("{spec} on {label} (seed {seed}, chaos {chaos})")
-                };
-                return Response::error(500, format!("solver panicked: {run_id}: {reason}"));
+                return Response::error(500, e.to_string());
             }
+            Err(e) => return Response::error(422, e.to_string()),
         };
-        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
         if let Some(summary) = &report.trace {
             self.telemetry.observe_trace(summary);
         }
-        let Some(cert) = report.certificate.as_ref() else {
-            // `traced_solve` forces certificates on; a report without one
-            // is a solver-contract bug, and the daemon answers 500 rather
-            // than killing the worker thread.
-            return Response::error(500, "solver returned no certificate");
-        };
-        let outcome = RunOutcome {
-            dominates: cert.dominates,
-            size: report.size() as f64,
-            rounds: report.rounds() as f64,
-            messages: report.messages() as f64,
-            bits: report.metrics.bits as f64,
-            ratio_vs_lemma1: cert.ratio_vs_lemma1,
-            wall_ms,
-        };
         let shape = (graph.len(), graph.max_degree());
         self.cache
             .insert_outcome(&spec, &label, seed, &chaos, threads, outcome);

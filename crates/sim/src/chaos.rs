@@ -2,16 +2,19 @@
 //! crash/recover schedules, byzantine senders, and inter-round churn —
 //! all deterministic in one fault seed.
 //!
-//! [`ChaosPlan`] generalizes [`FaultPlan`] (which stays as the iid-drop
-//! component). A plan is described by — and round-trips through — a
-//! canonical spec string, the **chaos clause** of the workload grammar:
+//! The paper's synchronous model assumes reliable links; real ad-hoc
+//! networks do not. A [`ChaosPlan`] is described by — and round-trips
+//! through — a canonical spec string, the **chaos clause** of the
+//! workload grammar:
 //!
 //! ```text
 //! drop=0.1,seed=7,burst=r3-5@0.9/0.5,crash=7@r2-4,byz=3+9,churn=r2re0-1+r4j6
 //! ```
 //!
 //! * `drop=<p>` — iid per-delivery loss with probability `p ∈ [0, 1]`
-//!   (omitted when 0);
+//!   (omitted when 0). Losses apply at *delivery*: a broadcast may reach
+//!   some neighbors and not others, matching radio-interference
+//!   semantics, while metrics still charge the sender for every copy;
 //! * `seed=<s>` — the fault seed every random choice below derives from
 //!   (omitted when 0);
 //! * `burst=r<a>-<b>@<p>[/<f>]` — a correlated drop storm: during
@@ -49,7 +52,6 @@ use std::fmt;
 
 use kw_graph::{apply_churn, ChurnEvent, ChurnKind, CsrGraph};
 
-use crate::faults::FaultPlan;
 use crate::rng::split_mix64;
 
 /// Domain salt for burst region membership keys.
@@ -59,8 +61,7 @@ const BURST_SALT: u64 = 0x4255_5253_545f_4452;
 /// Domain salt for byzantine corruption keys.
 const BYZ_SALT: u64 = 0x4259_5a41_4e54_494e;
 
-/// Maps a hashed key to a unit interval sample in `[0, 1)` (top 53 bits,
-/// same mapping as [`FaultPlan`]).
+/// Maps a hashed key to a unit interval sample in `[0, 1)` (top 53 bits).
 #[inline]
 fn unit(key: u64) -> f64 {
     (key >> 11) as f64 / (1u64 << 53) as f64
@@ -159,21 +160,15 @@ impl std::error::Error for ChaosParseError {}
 /// `parse(spec())` is the identity.
 #[derive(Clone, Debug, PartialEq, Default)]
 pub struct ChaosPlan {
-    /// The iid drop component (also carries the fault seed).
-    iid: FaultPlan,
+    /// Probability that any individual delivered message copy is lost.
+    drop: f64,
+    /// The fault seed every chaotic choice derives from (independent of
+    /// protocol randomness).
+    seed: u64,
     bursts: Vec<Burst>,
     crashes: Vec<CrashWindow>,
     byzantine: Vec<u32>,
     churn: Vec<ChurnEvent>,
-}
-
-impl From<FaultPlan> for ChaosPlan {
-    fn from(iid: FaultPlan) -> Self {
-        ChaosPlan {
-            iid,
-            ..Self::default()
-        }
-    }
 }
 
 impl ChaosPlan {
@@ -182,15 +177,25 @@ impl ChaosPlan {
         Self::default()
     }
 
-    /// Replaces the iid-drop component (probability and fault seed).
-    pub fn with_iid(mut self, iid: FaultPlan) -> Self {
-        self.iid = iid;
+    /// Sets the iid drop probability: each delivered message copy is lost
+    /// independently with probability `p`. The full closed range `[0, 1]`
+    /// is accepted: 1.0 is a total blackout, a legitimate worst-case plan.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is not in `[0, 1]` (including NaN).
+    pub fn with_drop(mut self, p: f64) -> Self {
+        assert!(
+            (0.0..=1.0).contains(&p),
+            "drop probability {p} outside [0, 1]"
+        );
+        self.drop = p;
         self
     }
 
-    /// Replaces the fault seed, keeping the iid drop probability.
+    /// Replaces the fault seed, keeping every other component.
     pub fn with_fault_seed(mut self, seed: u64) -> Self {
-        self.iid = FaultPlan::drop_with_probability(self.iid.drop_probability(), seed);
+        self.seed = seed;
         self
     }
 
@@ -261,12 +266,12 @@ impl ChaosPlan {
 
     /// The iid drop probability (0.0 when the iid component is off).
     pub fn drop_probability(&self) -> f64 {
-        self.iid.drop_probability()
+        self.drop
     }
 
     /// The fault seed every chaotic choice derives from.
     pub fn seed(&self) -> u64 {
-        self.iid.seed()
+        self.seed
     }
 
     /// The correlated bursts, canonically ordered.
@@ -292,7 +297,7 @@ impl ChaosPlan {
     /// Whether the plan is completely quiet — no drops, bursts, crashes,
     /// byzantine senders, or churn.
     pub fn is_reliable(&self) -> bool {
-        self.iid.is_reliable()
+        self.drop == 0.0
             && self.bursts.is_empty()
             && self.crashes.is_empty()
             && self.byzantine.is_empty()
@@ -305,7 +310,7 @@ impl ChaosPlan {
     /// message staged for a live receiver arrives. This is the condition
     /// that lets the engine take its solo-broadcast fast path.
     pub fn lossless(&self) -> bool {
-        self.iid.is_reliable() && self.bursts.is_empty()
+        self.drop == 0.0 && self.bursts.is_empty()
     }
 
     /// Whether any node can ever be down (crash windows or node churn).
@@ -333,13 +338,23 @@ impl ChaosPlan {
         self.byzantine.binary_search(&node).is_ok()
     }
 
-    /// Decides the fate of one delivery (cf. [`FaultPlan::drops`]): iid
-    /// loss, then each burst whose window covers `round` and whose region
-    /// contains `receiver`. Deterministic and order-independent.
+    /// Decides the fate of one delivery, identified by `(round, sender,
+    /// receiver, slot)` where `slot` is the message's index in the
+    /// sender's outbox that round: iid loss, then each burst whose window
+    /// covers `round` and whose region contains `receiver`. Deterministic
+    /// in the fault seed and independent of evaluation order, so results
+    /// do not depend on thread count.
     #[inline]
     pub fn drops(&self, round: usize, sender: u32, receiver: u32, slot: u32) -> bool {
-        if self.iid.drops(round, sender, receiver, slot) {
-            return true;
+        if self.drop > 0.0 {
+            let key = split_mix64(
+                self.seed
+                    ^ split_mix64((round as u64) << 32 | u64::from(slot))
+                    ^ split_mix64(u64::from(sender) << 32 | u64::from(receiver)),
+            );
+            if unit(key) < self.drop {
+                return true;
+            }
         }
         for (idx, b) in self.bursts.iter().enumerate() {
             if round < b.from_round || round > b.to_round {
@@ -483,11 +498,11 @@ impl ChaosPlan {
     /// `parse(spec())` reproduces the plan exactly.
     pub fn spec(&self) -> String {
         let mut parts: Vec<String> = Vec::new();
-        if self.iid.drop_probability() > 0.0 {
-            parts.push(format!("drop={}", self.iid.drop_probability()));
+        if self.drop > 0.0 {
+            parts.push(format!("drop={}", self.drop));
         }
-        if self.iid.seed() != 0 {
-            parts.push(format!("seed={}", self.iid.seed()));
+        if self.seed != 0 {
+            parts.push(format!("seed={}", self.seed));
         }
         for b in &self.bursts {
             let mut s = format!(
@@ -532,8 +547,6 @@ impl ChaosPlan {
         if body.is_empty() {
             return Ok(plan);
         }
-        let mut drop = 0.0f64;
-        let mut seed = 0u64;
         for part in body.split(',') {
             let part = part.trim();
             let (key, value) = part
@@ -541,7 +554,7 @@ impl ChaosPlan {
                 .ok_or_else(|| err(format!("clause {part:?} is not key=value")))?;
             match key {
                 "drop" => {
-                    drop = value
+                    plan.drop = value
                         .parse::<f64>()
                         .ok()
                         .filter(|p| (0.0..=1.0).contains(p))
@@ -550,7 +563,7 @@ impl ChaosPlan {
                         })?;
                 }
                 "seed" => {
-                    seed = value
+                    plan.seed = value
                         .parse::<u64>()
                         .map_err(|_| err(format!("seed {value:?} is not a u64")))?;
                 }
@@ -580,7 +593,6 @@ impl ChaosPlan {
                 _ => return Err(err(format!("unknown chaos key {key:?}"))),
             }
         }
-        plan.iid = FaultPlan::drop_with_probability(drop, seed);
         plan.canonicalize();
         Ok(plan)
     }
@@ -895,12 +907,61 @@ mod tests {
     }
 
     #[test]
-    fn fault_plan_upgrade_preserves_fields() {
-        let p: ChaosPlan = FaultPlan::drop_with_probability(0.25, 99).into();
+    fn with_drop_builder_matches_parsed_plan() {
+        let p = ChaosPlan::reliable().with_drop(0.25).with_fault_seed(99);
         assert_eq!(p.drop_probability(), 0.25);
         assert_eq!(p.seed(), 99);
         assert_eq!(p.spec(), "drop=0.25,seed=99");
         assert_eq!(ChaosPlan::parse("drop=0.25,seed=99").unwrap(), p);
+    }
+
+    #[test]
+    fn reliable_never_drops() {
+        let p = ChaosPlan::reliable();
+        assert!(p.is_reliable());
+        for r in 0..100 {
+            assert!(!p.drops(r, 0, 1, 0));
+        }
+    }
+
+    #[test]
+    fn drop_rate_close_to_nominal() {
+        let p = ChaosPlan::reliable().with_drop(0.3).with_fault_seed(42);
+        let trials = 100_000;
+        let dropped = (0..trials)
+            .filter(|&i| p.drops(i % 97, (i % 13) as u32, (i % 31) as u32, (i / 97) as u32))
+            .count();
+        let rate = dropped as f64 / trials as f64;
+        assert!((rate - 0.3).abs() < 0.02, "rate {rate}");
+    }
+
+    #[test]
+    fn deterministic_and_seed_sensitive() {
+        let a = ChaosPlan::reliable().with_drop(0.5).with_fault_seed(1);
+        let b = ChaosPlan::reliable().with_drop(0.5).with_fault_seed(2);
+        let fate_a: Vec<bool> = (0..64).map(|i| a.drops(i, 1, 2, 0)).collect();
+        let fate_a2: Vec<bool> = (0..64).map(|i| a.drops(i, 1, 2, 0)).collect();
+        let fate_b: Vec<bool> = (0..64).map(|i| b.drops(i, 1, 2, 0)).collect();
+        assert_eq!(fate_a, fate_a2);
+        assert_ne!(fate_a, fate_b);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside [0, 1]")]
+    fn validates_probability_above_one() {
+        let _ = ChaosPlan::reliable().with_drop(1.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside [0, 1]")]
+    fn validates_probability_nan() {
+        let _ = ChaosPlan::reliable().with_drop(f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside [0, 1]")]
+    fn validates_probability_negative() {
+        let _ = ChaosPlan::reliable().with_drop(-0.1);
     }
 
     #[test]
@@ -923,6 +984,28 @@ mod tests {
             ChaosPlan::parse("seed=4,burst=r1-2@0.5,crash=3@r2-4,byz=7,churn=r1l5").unwrap();
         assert_eq!(built, parsed);
         assert_eq!(built.spec(), parsed.spec());
+    }
+
+    /// Pins every drop fate of an iid + regional-burst plan over a fixed
+    /// key grid, so any change to the drop hashes (key mixing, salts or
+    /// the 53-bit unit mapping) fails here, not only in rate checks.
+    #[test]
+    fn drop_fates_are_pinned() {
+        let p = ChaosPlan::parse("drop=0.3,seed=42,burst=r1-3@0.5/0.5").unwrap();
+        let mut fingerprint = 0xcbf2_9ce4_8422_2325u64;
+        let mut dropped = 0u32;
+        for round in 0..6 {
+            for sender in 0..16u32 {
+                for receiver in 0..16u32 {
+                    for slot in 0..4u32 {
+                        let fate = p.drops(round, sender, receiver, slot);
+                        dropped += u32::from(fate);
+                        fingerprint = (fingerprint ^ u64::from(fate)).wrapping_mul(0x100_0000_01b3);
+                    }
+                }
+            }
+        }
+        assert_eq!((dropped, fingerprint), (2563, 0xe000_147b_c102_7616));
     }
 
     #[test]

@@ -129,13 +129,10 @@ pub struct EngineConfig {
     /// Record per-round [`RoundMetrics`] in the final [`RunMetrics`].
     pub record_per_round: bool,
     /// Verify that every sent message decodes from its own wire encoding
-    /// (cheap safety net; enabled by default in tests, not benches).
+    /// (a cheap safety net, off by default; conformance tests turn it on).
     pub check_wire: bool,
     /// Chaos model — iid drops, bursts, crashes, byzantine senders, and
-    /// churn (defaults to fully reliable). A plain [`FaultPlan`] converts
-    /// via `.into()`.
-    ///
-    /// [`FaultPlan`]: crate::FaultPlan
+    /// churn (defaults to fully reliable).
     pub faults: ChaosPlan,
 }
 
@@ -172,10 +169,12 @@ pub struct RunReport<O> {
     /// Total messages sent by each node (validates the paper's `O(k²Δ)`
     /// per-node bound).
     pub node_messages: Vec<u64>,
+    /// Internal engine counters.
+    pub stats: EngineStats,
 }
 
 /// Internal engine counters exposed for allocation-stability tests and
-/// tuning, returned by [`Engine::run_instrumented`].
+/// tuning, carried by every [`RunReport`].
 #[derive(Clone, Copy, Debug)]
 pub struct EngineStats {
     /// How many rounds grew the capacity of any reusable message-plane
@@ -200,11 +199,8 @@ impl<P: Protocol, F: FnMut(usize, &[P])> Observer<P> for F {
     }
 }
 
-/// No-op observer used by [`Engine::run`].
-#[derive(Clone, Copy, Debug, Default)]
-struct NullObserver;
-
-impl<P: Protocol> Observer<P> for NullObserver {
+/// The no-op observer: `engine.run(&mut ())` runs unobserved.
+impl<P: Protocol> Observer<P> for () {
     fn after_round(&mut self, _round: usize, _nodes: &[P]) {}
 }
 
@@ -326,8 +322,8 @@ impl<M: WireEncode> Sink<M> for StageSink<M> {
 /// Drives one protocol instance per node of a graph through synchronous
 /// rounds until every node halts.
 ///
-/// See the [crate docs](crate) for a complete example and the
-/// [module docs](self) for the flat-CSR message-plane design.
+/// See the [crate docs](crate) for a complete example and the `engine`
+/// module's source docs for the flat-CSR message-plane design.
 pub struct Engine<'g, P: Protocol> {
     graph: &'g CsrGraph,
     /// The current topology under a churn script: `None` until the first
@@ -518,53 +514,24 @@ impl<'g, P: Protocol> Engine<'g, P> {
         }
     }
 
-    /// Runs to completion without observation.
+    /// Runs to completion, invoking `observer` after every round (pass
+    /// `&mut ()` to run unobserved).
     ///
     /// # Errors
     ///
     /// [`SimError::MaxRoundsExceeded`] if any node is still running at the
     /// configured limit; [`SimError::WireMismatch`] if wire checking is on
     /// and a message fails to decode.
-    pub fn run(self) -> Result<RunReport<P::Output>, SimError> {
-        self.run_with_observer(&mut NullObserver)
-    }
-
-    /// Runs to completion, additionally returning internal engine counters
-    /// (currently the buffer-growth counter) for allocation-stability
-    /// tests and tuning.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run`](Self::run).
-    pub fn run_instrumented(mut self) -> Result<(RunReport<P::Output>, EngineStats), SimError> {
-        let metrics = self.drive(&mut NullObserver)?;
-        let stats = EngineStats {
-            buffer_growths: self.buffer_growths,
-        };
-        Ok((self.into_report(metrics), stats))
-    }
-
-    /// Runs to completion, invoking `observer` after every round.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run`](Self::run).
-    pub fn run_with_observer(
-        mut self,
-        observer: &mut dyn Observer<P>,
-    ) -> Result<RunReport<P::Output>, SimError> {
+    pub fn run(mut self, observer: &mut dyn Observer<P>) -> Result<RunReport<P::Output>, SimError> {
         let metrics = self.drive(observer)?;
-        Ok(self.into_report(metrics))
-    }
-
-    /// Consumes the engine, extracting per-node outputs into the final
-    /// report (single finalization path for every `run_*` flavor).
-    fn into_report(self, metrics: RunMetrics) -> RunReport<P::Output> {
-        RunReport {
+        Ok(RunReport {
             outputs: self.nodes.into_iter().map(P::finish).collect(),
             metrics,
             node_messages: self.node_messages,
-        }
+            stats: EngineStats {
+                buffer_growths: self.buffer_growths,
+            },
+        })
     }
 
     /// The round loop, separated from output extraction so tests can
@@ -1599,7 +1566,7 @@ mod tests {
             best: info.id.raw() as u64,
             rounds_left: rounds,
         })
-        .run()
+        .run(&mut ())
         .expect("flood terminates")
     }
 
@@ -1697,7 +1664,7 @@ mod tests {
             },
             |_| Forever,
         )
-        .run()
+        .run(&mut ())
         .unwrap_err();
         assert_eq!(err, SimError::MaxRoundsExceeded { limit: 10 });
     }
@@ -1737,7 +1704,7 @@ mod tests {
             me: info.id.raw(),
             received: 0,
         })
-        .run()
+        .run(&mut ())
         .unwrap();
         assert_eq!(report.outputs, vec![0, 1, 0]);
         assert_eq!(report.metrics.messages, 1);
@@ -1754,7 +1721,7 @@ mod tests {
             best: info.id.raw() as u64,
             rounds_left: 3,
         })
-        .run_with_observer(&mut obs)
+        .run(&mut obs)
         .unwrap();
         assert_eq!(seen, vec![(0, 5), (1, 5), (2, 5), (3, 5)]);
     }
@@ -1788,7 +1755,7 @@ mod tests {
             },
             |_| Sender,
         )
-        .run()
+        .run(&mut ())
         .unwrap_err();
         assert_eq!(err, SimError::WireMismatch { round: 0 });
     }
@@ -1829,7 +1796,7 @@ mod tests {
             },
             |info| Extremes { me: info.id.raw() },
         )
-        .run()
+        .run(&mut ())
         .expect("boundary payloads encode, decode, and measure consistently");
         // Two broadcasts of u64::MAX (129 bits each) + one unicast of 0
         // (1 bit).
@@ -1848,13 +1815,12 @@ mod tests {
 
     #[test]
     fn fault_plan_drops_deliveries_but_not_accounting() {
-        use crate::faults::FaultPlan;
         // Star, one broadcast round from every node; with heavy loss the
         // center receives fewer than its 4 messages, but sender-side
         // metrics still count every copy.
         let g = generators::star(5);
         let lossy = EngineConfig {
-            faults: FaultPlan::drop_with_probability(0.8, 7).into(),
+            faults: ChaosPlan::reliable().with_drop(0.8).with_fault_seed(7),
             ..Default::default()
         };
         let lossless = flood_report(&g, 1, EngineConfig::default());
@@ -1869,11 +1835,10 @@ mod tests {
 
     #[test]
     fn fault_determinism_across_thread_counts() {
-        use crate::faults::FaultPlan;
         let mut rng = <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(5);
         let g = generators::gnp(150, 0.05, &mut rng);
         let base = EngineConfig {
-            faults: FaultPlan::drop_with_probability(0.3, 11).into(),
+            faults: ChaosPlan::reliable().with_drop(0.3).with_fault_seed(11),
             ..Default::default()
         };
         let seq = flood_report(
@@ -1993,7 +1958,7 @@ mod tests {
                     rounds_left: rounds,
                 },
             );
-            engine.drive(&mut NullObserver).unwrap();
+            engine.drive(&mut ()).unwrap();
             engine.buffer_growths
         };
         for threads in [1usize, 4] {
@@ -2381,7 +2346,7 @@ mod tests {
                 best: info.id.raw() as u64,
                 rounds_left: 6,
             });
-            e.drive(&mut NullObserver).expect("flood terminates");
+            e.drive(&mut ()).expect("flood terminates");
             (e.bounds.clone(), e.node_chunk.clone())
         };
         let before = chunk_bounds(g.offsets(), 4);
@@ -2439,7 +2404,7 @@ mod tests {
                     round: 2,
                 },
             );
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.run()))
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.run(&mut ())))
         };
         // Panic on a caller-chunk node and on a worker-chunk node: both
         // must unwind out of `run` (pool joined on drop, barrier not
@@ -2490,9 +2455,9 @@ mod tests {
             })
         };
         let mut once = fresh(5);
-        let m1 = once.drive(&mut NullObserver).expect("flood terminates");
+        let m1 = once.drive(&mut ()).expect("flood terminates");
         let mut twice = fresh(5);
-        twice.drive(&mut NullObserver).expect("flood terminates");
+        twice.drive(&mut ()).expect("flood terminates");
         for node in 0..g.len() {
             twice.halted[node] = false;
             twice.nodes[node] = MaxFlood {
@@ -2502,7 +2467,7 @@ mod tests {
             let seed = crate::rng::node_seed(twice.config.seed, node as u32);
             twice.rngs[node] = SmallRng::seed_from_u64(seed);
         }
-        let m2 = twice.drive(&mut NullObserver).expect("flood terminates");
+        let m2 = twice.drive(&mut ()).expect("flood terminates");
         assert_eq!(m1.rounds, m2.rounds);
         assert_eq!(m1.messages, m2.messages);
         assert_eq!(m1.bits, m2.bits);

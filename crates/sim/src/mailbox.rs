@@ -22,7 +22,7 @@
 //!
 //! Delivery-time effects — receiver halting and fault drops — are link
 //! properties, not addressing properties, and remain the engine's
-//! business (see [`FaultPlan`](crate::FaultPlan)).
+//! business (see [`ChaosPlan`](crate::ChaosPlan)).
 
 use rand::rngs::SmallRng;
 
@@ -55,7 +55,7 @@ impl<M> Outbound<M> {
 /// Engine-side staging target for one node's sends during one round.
 ///
 /// [`Ctx`] validates every call against the send contract (see the
-/// [module docs](self)) and then writes through this trait, so the trait
+/// `mailbox` module's source docs) and then writes through this trait, so the trait
 /// is *opaque* to protocols: algorithm code can queue traffic but can
 /// never observe, grow, or reorder the buffer behind it. The engine's
 /// implementation appends straight into a per-node run of its flat,
@@ -204,7 +204,7 @@ impl<'a, M> Ctx<'a, M> {
     /// the paper's model in which a node "sends a message to each of its
     /// direct neighbors". On an isolated node this is a well-defined
     /// no-op: zero links, zero copies, zero charge (see the send contract
-    /// in the [module docs](self)).
+    /// in the `mailbox` module's source docs).
     pub fn broadcast(&mut self, msg: M)
     where
         M: crate::wire::WireEncode,
@@ -219,7 +219,7 @@ impl<'a, M> Ctx<'a, M> {
     /// # Panics
     ///
     /// Panics if `port >= degree` — addressing is validated at call time,
-    /// per the send contract in the [module docs](self). In particular an
+    /// per the send contract in the `mailbox` module's source docs. In particular an
     /// isolated node has no valid port at all, so any `send` from it
     /// panics (whereas its `broadcast` is a no-op).
     pub fn send(&mut self, port: u32, msg: M)

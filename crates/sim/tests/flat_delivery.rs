@@ -15,7 +15,7 @@
 
 use kw_graph::{generators, CsrGraph, NodeId};
 use kw_sim::rng::split_mix64;
-use kw_sim::{Ctx, Engine, EngineConfig, FaultPlan, Protocol, RunReport, Status};
+use kw_sim::{ChaosPlan, Ctx, Engine, EngineConfig, Protocol, RunReport, Status};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -123,7 +123,7 @@ fn expected_log(
     g: &CsrGraph,
     v: usize,
     max_rounds: usize,
-    faults: FaultPlan,
+    faults: &ChaosPlan,
     flavor: Flavor,
 ) -> Vec<(usize, u32, u64)> {
     let mut log = Vec::new();
@@ -170,19 +170,19 @@ fn run_scripted(
         flavor,
         log: Vec::new(),
     })
-    .run()
+    .run(&mut ())
     .expect("scripted run terminates")
 }
 
-fn assert_matches_reference(g: &CsrGraph, max_rounds: usize, faults: FaultPlan, flavor: Flavor) {
+fn assert_matches_reference(g: &CsrGraph, max_rounds: usize, faults: ChaosPlan, flavor: Flavor) {
     let config = EngineConfig {
-        faults: faults.into(),
+        faults: faults.clone(),
         check_wire: true,
         ..Default::default()
     };
     let report = run_scripted(g, max_rounds, config, flavor);
     for v in 0..g.len() {
-        let expected = expected_log(g, v, max_rounds, faults, flavor);
+        let expected = expected_log(g, v, max_rounds, &faults, flavor);
         assert_eq!(
             report.outputs[v], expected,
             "inbox mismatch at node {v} on {g:?} (faults: {faults:?}, flavor: {flavor:?})"
@@ -197,22 +197,22 @@ proptest! {
     fn flat_plane_matches_reference_on_gnp(seed in any::<u64>(), n in 4usize..36) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let g = generators::gnp(n, 0.25, &mut rng);
-        assert_matches_reference(&g, 6, FaultPlan::reliable(), Flavor::Mixed);
-        assert_matches_reference(&g, 6, FaultPlan::drop_with_probability(0.3, seed ^ 0x5ca1ab1e), Flavor::Mixed);
+        assert_matches_reference(&g, 6, ChaosPlan::reliable(), Flavor::Mixed);
+        assert_matches_reference(&g, 6, ChaosPlan::reliable().with_drop(0.3).with_fault_seed(seed ^ 0x5ca1ab1e), Flavor::Mixed);
     }
 
     #[test]
     fn flat_plane_matches_reference_on_star(n in 3usize..40, fault_seed in any::<u64>()) {
         let g = generators::star(n);
-        assert_matches_reference(&g, 5, FaultPlan::reliable(), Flavor::Mixed);
-        assert_matches_reference(&g, 5, FaultPlan::drop_with_probability(0.4, fault_seed), Flavor::Mixed);
+        assert_matches_reference(&g, 5, ChaosPlan::reliable(), Flavor::Mixed);
+        assert_matches_reference(&g, 5, ChaosPlan::reliable().with_drop(0.4).with_fault_seed(fault_seed), Flavor::Mixed);
     }
 
     #[test]
     fn flat_plane_matches_reference_on_complete(n in 2usize..16, fault_seed in any::<u64>()) {
         let g = generators::complete(n);
-        assert_matches_reference(&g, 4, FaultPlan::reliable(), Flavor::Mixed);
-        assert_matches_reference(&g, 4, FaultPlan::drop_with_probability(0.2, fault_seed), Flavor::Mixed);
+        assert_matches_reference(&g, 4, ChaosPlan::reliable(), Flavor::Mixed);
+        assert_matches_reference(&g, 4, ChaosPlan::reliable().with_drop(0.2).with_fault_seed(fault_seed), Flavor::Mixed);
     }
 
     /// Unicast bursts push several messages down one arc in a round; the
@@ -222,15 +222,15 @@ proptest! {
     fn arena_send_path_matches_reference_on_unicast_bursts(seed in any::<u64>(), n in 4usize..32) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let g = generators::gnp(n, 0.3, &mut rng);
-        assert_matches_reference(&g, 6, FaultPlan::reliable(), Flavor::Burst);
-        assert_matches_reference(&g, 6, FaultPlan::drop_with_probability(0.35, seed ^ 0xb0b), Flavor::Burst);
+        assert_matches_reference(&g, 6, ChaosPlan::reliable(), Flavor::Burst);
+        assert_matches_reference(&g, 6, ChaosPlan::reliable().with_drop(0.35).with_fault_seed(seed ^ 0xb0b), Flavor::Burst);
     }
 
     #[test]
     fn arena_send_path_matches_reference_on_star_bursts(n in 3usize..36, fault_seed in any::<u64>()) {
         let g = generators::star(n);
-        assert_matches_reference(&g, 5, FaultPlan::reliable(), Flavor::Burst);
-        assert_matches_reference(&g, 5, FaultPlan::drop_with_probability(0.25, fault_seed), Flavor::Burst);
+        assert_matches_reference(&g, 5, ChaosPlan::reliable(), Flavor::Burst);
+        assert_matches_reference(&g, 5, ChaosPlan::reliable().with_drop(0.25).with_fault_seed(fault_seed), Flavor::Burst);
     }
 }
 
@@ -243,7 +243,7 @@ proptest! {
 fn thread_count_determinism_high_degree_with_faults() {
     let g = generators::star_of_cliques(12, 24);
     let base = EngineConfig {
-        faults: FaultPlan::drop_with_probability(0.25, 99).into(),
+        faults: ChaosPlan::reliable().with_drop(0.25).with_fault_seed(99),
         ..Default::default()
     };
     for flavor in [Flavor::Mixed, Flavor::Burst] {
@@ -322,7 +322,7 @@ fn arena_buffers_stable_across_100_rounds() {
     let mut rng = SmallRng::seed_from_u64(7);
     let g = generators::gnp(60, 0.15, &mut rng);
     let growths = |rounds: usize, threads: usize| {
-        let (_, stats) = Engine::new(
+        Engine::new(
             &g,
             EngineConfig {
                 threads,
@@ -332,9 +332,10 @@ fn arena_buffers_stable_across_100_rounds() {
                 rounds_left: rounds,
             },
         )
-        .run_instrumented()
-        .expect("pulse run terminates");
-        stats.buffer_growths
+        .run(&mut ())
+        .expect("pulse run terminates")
+        .stats
+        .buffer_growths
     };
     for threads in [1usize, 4] {
         let short = growths(8, threads);

@@ -3,7 +3,7 @@
 
 use kw_graph::{generators, CsrGraph, NodeId};
 use kw_sim::wire::{BitReader, BitWriter, WireEncode};
-use kw_sim::{Ctx, Engine, EngineConfig, FaultPlan, Protocol, Status};
+use kw_sim::{ChaosPlan, Ctx, Engine, EngineConfig, Protocol, Status};
 
 #[derive(Clone, Debug, PartialEq)]
 struct Tagged {
@@ -103,7 +103,7 @@ fn run_audit(g: &CsrGraph, threads: usize) -> Vec<bool> {
             ok: true,
         },
     )
-    .run()
+    .run(&mut ())
     .expect("audit protocol terminates")
     .outputs
 }
@@ -164,7 +164,7 @@ fn staggered_halting() {
         me: info.id.raw(),
         rounds_seen: 0,
     })
-    .run()
+    .run(&mut ())
     .unwrap();
     // Node v executes exactly v+1 rounds.
     assert_eq!(report.outputs, vec![1, 2, 3, 4, 5]);
@@ -212,11 +212,7 @@ fn fault_plan_loss_rate_at_engine_level() {
             &g,
             EngineConfig {
                 threads,
-                faults: if drop == 0.0 {
-                    FaultPlan::reliable().into()
-                } else {
-                    FaultPlan::drop_with_probability(drop, 77).into()
-                },
+                faults: ChaosPlan::reliable().with_drop(drop).with_fault_seed(77),
                 ..Default::default()
             },
             |_| DeliveryCounter {
@@ -224,7 +220,7 @@ fn fault_plan_loss_rate_at_engine_level() {
                 rounds_left: rounds,
             },
         )
-        .run()
+        .run(&mut ())
         .unwrap()
         .outputs
         .iter()
@@ -253,7 +249,7 @@ fn observer_and_outputs_agree() {
         me: info.id.raw(),
         rounds_seen: 0,
     })
-    .run_with_observer(&mut obs)
+    .run(&mut obs)
     .unwrap();
     assert_eq!(last_seen, report.outputs);
 }

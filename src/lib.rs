@@ -222,12 +222,11 @@
 //! bit-identical, for every thread count). Code that *constructed* a
 //! `Ctx` by hand (only possible inside `kw-sim`) now supplies the
 //! engine's staging sink instead of a `&mut Vec<Outbound>`; test
-//! harnesses observe staged traffic through the sink's arena. The
-//! engine additionally exposes
-//! [`Engine::run_instrumented`](kw_sim::Engine::run_instrumented),
-//! returning [`EngineStats`](kw_sim::EngineStats) (the buffer-growth
-//! counter) so allocation-stability tests can assert that steady-state
-//! rounds are growth-free.
+//! harnesses observe staged traffic through the sink's arena. Every
+//! [`RunReport`](kw_sim::RunReport) carries
+//! [`EngineStats`](kw_sim::EngineStats) (the buffer-growth counter) so
+//! allocation-stability tests can assert that steady-state rounds are
+//! growth-free.
 //!
 //! # Parallel execution: the persistent worker pool
 //!
@@ -280,8 +279,7 @@
 //! ```
 //!
 //! * `drop=<p>` — iid per-delivery loss with probability `p ∈ [0, 1]`
-//!   (`seed=<s>` keys all chaotic randomness; the legacy
-//!   [`FaultPlan`](kw_sim::FaultPlan) converts via `.into()`).
+//!   (`seed=<s>` keys all chaotic randomness).
 //! * `burst=r<a>-<b>@<p>[/<f>]` — correlated loss storm: during rounds
 //!   `a..=b`, deliveries drop with probability `p`, optionally scoped
 //!   to a seeded region holding fraction `f` of the nodes.
@@ -355,9 +353,8 @@
 //! shares, barrier time, imbalance, structure hash, round series) to
 //! the report when [`SolveContext::trace`](kw_core::solver::SolveContext)
 //! is set. Summaries persist as `trace` lines in the run store (schema
-//! v3, [`TraceRecord`](kw_results::store::TraceRecord)), roll up to a
-//! where-does-time-go markdown table
-//! ([`TraceRollup`](kw_results::TraceRollup)), and gate in `regress`:
+//! v3, [`TraceRecord`](kw_results::store::TraceRecord)) and gate in
+//! `regress`:
 //! [`compare_traces`](kw_results::compare_traces) flags any engine
 //! phase whose share of total phase time drifts by more than 15
 //! percentage points against the stored baseline. `POST /solve` takes
@@ -452,7 +449,7 @@
 //! test both gate on a clean run. `docs/LINTS.md` documents each rule,
 //! the allowlist format, and the `--bless-schema` workflow.
 //!
-//! The lower-level per-algorithm entry points (`Pipeline`, `run_alg2`,
+//! The lower-level per-algorithm entry points (`run_alg2`, `run_alg3`,
 //! `run_rounding`, the invariant checkers, …) remain available from
 //! [`kw_core`] for experiments that dissect a single stage.
 
@@ -482,7 +479,6 @@ pub mod prelude {
         SolverSpec,
     };
     pub use kw_core::solver::{RunEvent, RunRecord};
-    pub use kw_core::{Pipeline, PipelineConfig, PipelineOutcome};
     pub use kw_graph::{
         CsrGraph, DominatingSet, FractionalAssignment, GraphBuilder, NodeId, VertexWeights,
     };

@@ -31,8 +31,10 @@ fn largest_component_workflow() {
     assert!(props::is_connected(&giant));
     assert_eq!(giant.len(), mapping.len());
     // Solve on the component and verify through the mapping.
-    let out = Pipeline::new(PipelineConfig::default())
-        .run(&giant, 1)
+    let out = kw_domset::default_registry()
+        .build("kw:k=2")
+        .unwrap()
+        .solve(&giant, &SolveContext::seeded(1))
         .unwrap();
     assert!(out.dominating_set.is_dominating(&giant));
     // Mapped-back heads only contain original node ids.
@@ -149,8 +151,10 @@ proptest! {
     ) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let g = generators::gnp(n, p, &mut rng);
-        let out = Pipeline::new(PipelineConfig { k, ..Default::default() })
-            .run(&g, seed)
+        let out = kw_domset::default_registry()
+            .build(&format!("kw:k={k}"))
+            .unwrap()
+            .solve(&g, &SolveContext::seeded(seed))
             .unwrap();
         prop_assert!(out.dominating_set.is_dominating(&g));
     }

@@ -130,10 +130,13 @@ fn rounding_uses_constant_bits_per_message() {
 #[test]
 fn engine_seed_controls_all_randomness() {
     let g = test_graph(5);
-    let p = kw_core::Pipeline::new(PipelineConfig::default());
-    let a = p.run(&g, 1).unwrap().dominating_set;
-    let b = p.run(&g, 2).unwrap().dominating_set;
-    let a2 = p.run(&g, 1).unwrap().dominating_set;
+    let p = kw_domset::default_registry().build("kw:k=2").unwrap();
+    let run = |seed| {
+        p.solve(&g, &SolveContext::seeded(seed))
+            .unwrap()
+            .dominating_set
+    };
+    let (a, b, a2) = (run(1), run(2), run(1));
     let av: Vec<bool> = g.node_ids().map(|v| a.contains(v)).collect();
     let bv: Vec<bool> = g.node_ids().map(|v| b.contains(v)).collect();
     let av2: Vec<bool> = g.node_ids().map(|v| a2.contains(v)).collect();
