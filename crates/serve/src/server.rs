@@ -207,11 +207,12 @@ fn shed(shared: &Shared, mut stream: TcpStream, accepted: Instant) {
     resp.retry_after = Some(RETRY_AFTER_SECS);
     resp.close = true;
     let _ = stream.set_write_timeout(Some(READ_TICK));
-    let _ = stream.write_all(&resp.render());
+    let bytes = resp.render();
     shared
         .service
         .telemetry
         .observe_shed(accepted.elapsed().as_micros() as u64);
+    let _ = stream.write_all(&bytes);
 }
 
 fn worker_loop(shared: &Shared, receiver: &Arc<Mutex<Receiver<(TcpStream, Instant)>>>) {
@@ -263,12 +264,15 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream, accepted: Instant) 
                     if request.wants_close() || shared.shutting_down.load(Ordering::SeqCst) {
                         response.close = true;
                     }
-                    let ok = stream.write_all(&response.render()).is_ok();
+                    let bytes = response.render();
+                    // Count the request before the client can read its
+                    // response: a scrape it sends next must see it done.
                     drop(guard);
                     shared.service.telemetry.observe(
                         response.status,
                         request_started.elapsed().as_micros() as u64,
                     );
+                    let ok = stream.write_all(&bytes).is_ok();
                     if !ok || response.close {
                         return;
                     }
@@ -278,11 +282,12 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream, accepted: Instant) 
                 Ok(None) => break, // need more bytes
                 Err(violation) => {
                     let response = Response::for_violation(&violation);
-                    let _ = stream.write_all(&response.render());
+                    let bytes = response.render();
                     shared.service.telemetry.observe(
                         response.status,
                         request_started.elapsed().as_micros() as u64,
                     );
+                    let _ = stream.write_all(&bytes);
                     return;
                 }
             }
@@ -295,11 +300,12 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream, accepted: Instant) 
         if mid_request && request_started.elapsed() >= shared.deadline {
             let mut response = Response::error(408, "request deadline exceeded");
             response.close = true;
-            let _ = stream.write_all(&response.render());
+            let bytes = response.render();
             shared
                 .service
                 .telemetry
                 .observe(408, request_started.elapsed().as_micros() as u64);
+            let _ = stream.write_all(&bytes);
             return;
         }
         if !mid_request && idle_since.elapsed() >= KEEP_ALIVE_IDLE {

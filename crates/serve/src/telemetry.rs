@@ -119,7 +119,8 @@ pub struct Telemetry {
     /// record no spans to attribute.
     phase_us: [AtomicU64; PHASES.len()],
     /// End-to-end request latency (entering the worker to response
-    /// written).
+    /// rendered). Recorded before the response is written, so a client
+    /// that has read its response never scrapes the request unfinished.
     pub latency: LatencyHistogram,
 }
 

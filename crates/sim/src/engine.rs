@@ -2,23 +2,30 @@
 //!
 //! # The flat CSR message plane
 //!
-//! Both halves of a round — sending and delivery — run on flat arrays
+//! Both halves of a round — sending and receiving — run on flat arrays
 //! parallel to the graph's CSR edge array; no per-node `Vec` exists
 //! anywhere on the hot path. A round costs `O(m + traffic)` — the
-//! `m`-term is sequential walks of dense arrays (placement visits each
-//! receiver arc once), while every random-access and cloning cost scales
-//! with the traffic actually delivered:
+//! `m`-term is each computing node walking its own ports once, while
+//! every random-access and cloning cost scales with the traffic actually
+//! delivered:
 //!
-//! 1. the **compute phase** stages sends as they happen: each node's
-//!    [`Ctx`] writes through an opaque [`Sink`](crate::Sink) whose engine
-//!    implementation appends straight into a per-node run of a flat send
-//!    arena (one arena per worker chunk, reused every round). Sender-side
-//!    metrics, wire checking, per-node message counters, run (`outbox`)
-//!    length publication, and solo-broadcast detection — the dominant
-//!    "one reliable broadcast" shape, whose payload is cached in a dense
-//!    per-node array — all happen at the moment of the send, while the
-//!    message is hot. The former "fill per-node outboxes, then re-walk
-//!    every outbox" two-pass is gone;
+//! 1. the **compute phase** first **gathers** each running node's inbox,
+//!    just before its `on_round`, into one small buffer its worker reuses
+//!    for every node: walking the node's ports in order, a neighbor that
+//!    was a *solo* sender last round contributes its payload from the
+//!    previous round's dense solo table, a *staged* sender contributes
+//!    its delivered copies from the staging run of the reverse arc
+//!    (`rev_edge`, a flat table built in `O(m)` by a counting pass the
+//!    first time a round stages traffic), and a quiet one contributes
+//!    nothing. Then the node's [`Ctx`] writes its sends through an opaque
+//!    [`Sink`](crate::Sink) whose engine implementation appends straight
+//!    into a per-node run of a flat send arena (one arena per worker
+//!    chunk, reused every round). Sender-side metrics, wire checking,
+//!    per-node message counters, run (`outbox`) length publication, and
+//!    solo-broadcast detection — exactly one broadcast on a lossless
+//!    plan, the dominant shape, whose payload is cached in the dense
+//!    solo table — all happen at the moment of the send, while the
+//!    message is hot;
 //! 2. a **staging pass**, touching only *staged* senders (non-solo,
 //!    non-quiet — none at all in broadcast-heavy rounds), counts per
 //!    directed arc `u → v` how many copies will be delivered along it
@@ -29,17 +36,18 @@
 //!    ranges, and clones each staged sender's delivered payloads out of
 //!    its arena run into one sender-major staging buffer, in
 //!    port-then-slot order;
-//! 3. a **placement pass** walks receivers in order and copies each
-//!    message into its slot of one contiguous double-buffered inbox
-//!    arena: solo broadcasts come straight from the dense cache, staged
-//!    traffic from the staging run of the reverse arc (`rev_edge`, a flat
-//!    table built in `O(m)` by a counting pass, not binary searches).
-//!    Receiver offsets into the arena are recorded as placement goes, so
-//!    no separate per-arc prefix pass exists on the hot path.
+//! 3. a **swap** ends delivery: the double-buffered solo table hands this
+//!    round's payloads to the next round's gathers, and a flag records
+//!    whether staging holds traffic for them. No message is copied.
 //!
-//! All message-proportional buffers (send arenas, inbox arenas, staging,
-//! plan) are reused and keep their capacity, so steady-state rounds
-//! perform no buffer growth — asserted by a debug counter
+//! Receiver-side filters need no pass of their own: a halted node never
+//! computes again, a node that is down in a round does not compute in
+//! it, so neither gathers; staged copies to either were already dropped
+//! by the staging pass.
+//!
+//! All message-proportional buffers (send arenas, gather buffers,
+//! staging, plan) are reused and keep their capacity, so steady-state
+//! rounds perform no buffer growth — asserted by a debug counter
 //! ([`EngineStats::buffer_growths`]); multi-threaded rounds still make
 //! small `O(threads)` control-structure allocations (chunk tables, boxed
 //! per-chunk jobs). Every phase preserves the engine's determinism
@@ -51,28 +59,29 @@
 //! At `threads > 1` the engine partitions nodes into contiguous,
 //! **degree-weighted** chunks: cut points are chosen by binary search on
 //! the prefix weight `arcs(0..v) + NODE_COST·v`, so each chunk carries
-//! roughly equal placement work even on skewed degree distributions
-//! (uniform node-count chunks peaked at 1.6–1.7× max/mean busy time on
-//! G(n,p); `kwperf` reports the residual as `sim.imbalance`).
-//! Boundaries are recomputed on every churn rebuild against the new CSR
-//! plane. All three parallel phases —
-//! compute, send staging, delivery placement — are driven by one
-//! persistent [`WorkerPool`](crate::pool::WorkerPool) spawned per run:
-//! each phase hands the pool one boxed job per chunk and the pool runs
-//! them behind a lightweight epoch barrier, replacing the
+//! roughly equal gather and compute work even on skewed degree
+//! distributions (uniform node-count chunks peaked at 1.6–1.7× max/mean
+//! busy time on G(n,p); `kwperf` reports the residual as
+//! `sim.imbalance`). Boundaries are recomputed on every churn rebuild
+//! against the new CSR plane. Both parallel phases — compute (with its
+//! gathers) and send staging — are driven by one persistent
+//! [`WorkerPool`](crate::pool::WorkerPool) spawned per run: each phase
+//! hands the pool one boxed job per chunk and the pool runs them behind a
+//! lightweight epoch barrier, replacing the
 //! spawn/join-per-phase-per-round `std::thread::scope` pattern whose
 //! fork/join overhead was 26–35% of flood wall time.
 //!
-//! The **message plane is per-chunk**: each chunk owns its inbox arena
-//! (front and back), its send arena, and its staging buffer, with
-//! chunk-local receiver offsets — so delivery placement writes only
-//! chunk-owned memory and the old sequential splice-and-rebase steps are
-//! gone. The single cross-chunk interaction is the *thin exchange*
-//! during placement: a receiver's worker reads (never writes) the
-//! staging buffer of the sender's chunk, located through the dense
-//! `node_chunk` table and per-chunk staging bases. Everything downstream
-//! addresses sends through the per-node run table, so the chunked layout
-//! stays invisible to results.
+//! The **message plane is per-chunk**: each chunk owns its send arena,
+//! its staging buffer, and its gather buffer, each in its own 128-byte
+//! aligned `ChunkSlot` — every send updates a sink's tallies and every
+//! gathered message a buffer length, so unpadded neighbors would put two
+//! workers' writes on one cache line. The single cross-chunk interaction
+//! is the *thin exchange* during the gather: a receiver's worker reads
+//! (never writes) the previous round's solo table and the staging buffer
+//! of the sender's chunk, located through the dense `node_chunk` table
+//! and per-chunk staging bases. Everything downstream addresses sends
+//! through the per-node run table, so the chunked layout stays invisible
+//! to results.
 //!
 //! **Port-numbering invariant:** port `q` of node `v` is `v`'s `q`-th
 //! neighbor in ascending id order — exactly CSR arc `offsets[v] + q`. The
@@ -80,7 +89,7 @@
 //! recorded traffic are unaffected by the layout.
 //!
 //! Staged (non-solo) deliveries clone a message twice — once into the
-//! staging buffer, once into the receiver's inbox slice. Messages are
+//! staging buffer, once into the receiver's gathered inbox. Messages are
 //! small wire-encoded values (the paper's are `O(log Δ)` bits), so the
 //! extra copy is far cheaper than the outbox rescans it replaces.
 
@@ -123,8 +132,9 @@ pub struct EngineConfig {
     pub max_rounds: usize,
     /// Run seed; per-node seeds are derived from it.
     pub seed: u64,
-    /// Worker threads for the compute and delivery phases (`<= 1` means
-    /// sequential). Results are identical for any thread count.
+    /// Worker threads for the parallel phases — compute, which gathers
+    /// each node's inbox, and send staging (`<= 1` means sequential).
+    /// Results are identical for any thread count.
     pub threads: usize,
     /// Record per-round [`RoundMetrics`] in the final [`RunMetrics`].
     pub record_per_round: bool,
@@ -178,9 +188,9 @@ pub struct RunReport<O> {
 #[derive(Clone, Copy, Debug)]
 pub struct EngineStats {
     /// How many rounds grew the capacity of any reusable message-plane
-    /// buffer (send arenas, staging, plan, inbox arenas, scratch). All
-    /// growth happens during warm-up; steady-state rounds must not move
-    /// this counter.
+    /// buffer (send arenas, gather buffers, staging, plan). All growth
+    /// happens during warm-up; steady-state rounds must not move this
+    /// counter.
     pub buffer_growths: u64,
 }
 
@@ -211,10 +221,8 @@ struct ChunkOut {
     wire_ok: bool,
     /// Staged (non-solo, non-quiet) senders in this chunk.
     staged: usize,
-    /// Whether every node in this chunk was an active solo broadcaster —
-    /// no halted, down, quiet, or staged senders. When all chunks agree,
-    /// placement takes the uniform fast path.
-    uniform_solo: bool,
+    /// Inbox entries this chunk's gathers handed to `on_round`.
+    gathered: usize,
     /// Byzantine payloads whose corrupted encoding no longer decoded and
     /// were rejected (never delivered, never a panic).
     byz_rejected: u64,
@@ -228,8 +236,60 @@ impl ChunkOut {
             max_message_bits: 0,
             wire_ok: true,
             staged: 0,
-            uniform_solo: true,
+            gathered: 0,
             byz_rejected: 0,
+        }
+    }
+}
+
+/// One worker chunk's element of a per-chunk `Vec`, alone on its own
+/// 128-byte span. Every send updates its chunk's sink tallies and arena
+/// length, and every gathered message its gather buffer's length, so
+/// unpadded neighbors would make two workers write one cache line per
+/// message.
+#[repr(align(128))]
+struct ChunkSlot<T>(T);
+
+/// A gathered inbox: `(port, message)` pairs in `(port, slot)` order.
+type InboxBuf<M> = Vec<(u32, M)>;
+
+/// What the previous round left in flight, as this round's gathers read
+/// it: the solo table always, the staging tables only when `staged` is
+/// set (that round's delivery built staging).
+struct Inflight<'a, M> {
+    solo: &'a [Option<M>],
+    staged: bool,
+    rev_edge: &'a [u32],
+    plan_ranges: &'a [(u32, u32)],
+    node_plan_base: &'a [usize],
+    node_chunk: &'a [u32],
+    chunk_plan_base: &'a [usize],
+    buffers: &'a [ChunkSlot<Vec<M>>],
+}
+
+impl<M: Clone> Inflight<'_, M> {
+    /// Gathers the inbox of the node whose ports are CSR arcs
+    /// `arc_lo..arc_lo + ports.len()` (`ports` holds their targets) into
+    /// `buf`, ascending by port: a solo sender's payload, a staged
+    /// sender's delivered copies in its send-slot order, nothing from a
+    /// quiet one.
+    fn gather(&self, arc_lo: usize, ports: &[u32], buf: &mut InboxBuf<M>) {
+        buf.clear();
+        for (q, &u) in ports.iter().enumerate() {
+            let u = u as usize;
+            if let Some(m) = &self.solo[u] {
+                buf.push((q as u32, m.clone()));
+            } else if self.staged && self.node_plan_base[u] < self.node_plan_base[u + 1] {
+                let (start, end) = self.plan_ranges[self.rev_edge[arc_lo + q] as usize];
+                // Thin cross-chunk exchange: the sender's staged payloads
+                // live in its own chunk's buffer; rebase the global plan
+                // indices into it.
+                let c = self.node_chunk[u] as usize;
+                let base = self.chunk_plan_base[c];
+                for m in &self.buffers[c].0[start as usize - base..end as usize - base] {
+                    buf.push((q as u32, m.clone()));
+                }
+            }
         }
     }
 }
@@ -337,43 +397,41 @@ pub struct Engine<'g, P: Protocol> {
     /// `rev_edge[e]` = the directed-arc index of the reverse of arc `e`:
     /// if arc `e` is port `q` of `v` pointing at `u`, then `rev_edge[e]` is
     /// the arc of `u` pointing back at `v`. Built in `O(m)` by a counting
-    /// pass in [`Engine::new`]; this is what lets placement find the
-    /// staging run a sender aimed at a given receiver without searching.
+    /// pass the first time a delivery builds staging, and again at the
+    /// first staged round after a churn rebuild clears it; empty until
+    /// then, because solo traffic never reads it. This is what lets a
+    /// receiver's gather find the staging run a sender aimed at it
+    /// without searching.
     rev_edge: Vec<u32>,
-    /// Front inbox arenas read by the compute phase, one per chunk: node
-    /// `v` in chunk `c` reads `inbox_arena[c][inbox_offsets[v]..end]`,
-    /// where `end` is the next node's offset (or the chunk arena's length
-    /// for the chunk's last node) — offsets are **chunk-local**, so each
-    /// chunk's delivery writes only its own arena and offset range.
-    inbox_arena: Vec<Vec<(u32, P::Msg)>>,
-    /// Per node (`n` entries): offset of `v`'s inbox within its chunk's
-    /// arena. Chunk-local values; no terminal entry (a chunk's last inbox
-    /// ends at its arena's length).
-    inbox_offsets: Vec<usize>,
-    /// Back arenas written by delivery, swapped with the front each round.
-    back_arena: Vec<Vec<(u32, P::Msg)>>,
-    back_offsets: Vec<usize>,
-    /// The send half of the double-buffered message plane: one
-    /// [`StageSink`] per worker chunk (flat arena + metric tallies),
-    /// written append-only during compute and read by staging/placement
-    /// during delivery. Arenas clear (capacity kept) every round.
-    sinks: Vec<StageSink<P::Msg>>,
+    /// The send half of the message plane: one [`StageSink`] per worker
+    /// chunk (flat arena + metric tallies), written append-only during
+    /// compute and read by staging during delivery. Arenas clear
+    /// (capacity kept) every round.
+    sinks: Vec<ChunkSlot<StageSink<P::Msg>>>,
+    /// One reused inbox buffer per worker chunk: the gather fills it with
+    /// a node's inbox just before that node's `on_round`.
+    gather: Vec<ChunkSlot<InboxBuf<P::Msg>>>,
     /// Per node: `(start, len)` of this round's sends within its chunk's
     /// send arena — the send-time publication of what used to be
-    /// `outbox_len`, plus the address placement needs to read the run.
+    /// `outbox_len`, plus the address staging needs to read the run.
     runs: Vec<(u32, u32)>,
     /// Per node: the payload of a sender whose round is exactly one
-    /// broadcast on a reliable network — the dominant traffic shape, which
-    /// placement serves from this dense cache without staging. Detected at
-    /// send time.
+    /// broadcast on a reliable network — the dominant traffic shape,
+    /// which receivers gather from this dense cache without staging.
+    /// Detected at send time. The write half of a double buffer: the swap
+    /// at the end of delivery hands it to the next round as `solo_prev`.
     solo: Vec<Option<P::Msg>>,
+    /// The previous round's `solo`, read by this round's gathers. Emptied
+    /// at the start of a drive and on every churn rebuild, which drop the
+    /// messages in flight.
+    solo_prev: Vec<Option<P::Msg>>,
     /// Staged (non-solo, non-quiet) senders this round; when zero, the
     /// entire staging half of delivery is skipped.
     staged_senders: usize,
-    /// Whether every node this round was an active solo broadcaster (the
-    /// steady state of the paper's broadcast-only algorithms); placement
-    /// then runs a branch-light fast path.
-    uniform_solo: bool,
+    /// Whether the previous round's delivery built staging: only then do
+    /// this round's gathers read `plan_ranges`, `node_plan_base` and
+    /// `staged`, which otherwise hold an older round's tables.
+    staged_prev: bool,
     /// Per directed arc of each *staged* sender: copies delivered along it
     /// this round.
     send_counts: Vec<u32>,
@@ -389,9 +447,9 @@ pub struct Engine<'g, P: Protocol> {
     plan: Vec<u32>,
     /// Payload clones of every staged delivery, one buffer per sender
     /// chunk; `plan_ranges` indices are global and rebase through
-    /// `chunk_plan_base`. Placement reads other chunks' buffers read-only
-    /// (the thin cross-chunk exchange).
-    staged: Vec<Vec<P::Msg>>,
+    /// `chunk_plan_base`. The next round's gathers read other chunks'
+    /// buffers read-only (the thin cross-chunk exchange).
+    staged: Vec<ChunkSlot<Vec<P::Msg>>>,
     /// `chunk_plan_base[c]` = global staging index where chunk `c`'s
     /// buffer starts (`chunks + 1` entries); filled by `plan_staged`.
     chunk_plan_base: Vec<usize>,
@@ -402,8 +460,8 @@ pub struct Engine<'g, P: Protocol> {
     /// chunk's send arena is always read by the worker that owns the
     /// chunk's nodes; recomputed on every churn rebuild.
     bounds: Vec<usize>,
-    /// Dense node → owning-chunk table, parallel to `bounds`; lets
-    /// placement locate a cross-chunk sender's staging buffer in O(1).
+    /// Dense node → owning-chunk table, parallel to `bounds`; lets a
+    /// gather locate a cross-chunk sender's staging buffer in O(1).
     node_chunk: Vec<u32>,
     chunks: usize,
     /// Per-chunk `(start, end)` tick pairs of the most recent parallel
@@ -432,9 +490,13 @@ impl<'g, P: Protocol> Engine<'g, P> {
     ///
     /// # Panics
     ///
-    /// Panics if the graph's adjacency is asymmetric (some `v` lists `u`
-    /// but `u` does not list `v`) — impossible for graphs built through
-    /// [`kw_graph::GraphBuilder`], which enforces symmetry.
+    /// Construction checks nothing. The first round that delivers staged
+    /// traffic (anything but one broadcast per sender on a lossless plan:
+    /// unicasts, several sends, any send under loss) builds the
+    /// reverse-arc table, and [`Engine::run`] panics there if the graph's
+    /// adjacency is asymmetric (some `v` lists `u` but `u` does not list
+    /// `v`) — impossible for any [`CsrGraph`], whose builders enforce
+    /// symmetry.
     pub fn new(
         graph: &'g CsrGraph,
         config: EngineConfig,
@@ -454,7 +516,6 @@ impl<'g, P: Protocol> Engine<'g, P> {
             nodes.push(factory(info));
             rngs.push(SmallRng::seed_from_u64(seed));
         }
-        let rev_edge = build_rev_edge(graph);
         let threads = if config.threads == 0 {
             std::thread::available_parallelism()
                 .map(|p| p.get())
@@ -470,16 +531,7 @@ impl<'g, P: Protocol> Engine<'g, P> {
         let bounds = chunk_bounds(graph.offsets(), chunks);
         let mut node_chunk = Vec::new();
         fill_node_chunk(&mut node_chunk, &bounds);
-        let mut solo = Vec::with_capacity(n);
-        solo.resize_with(n, || None);
-        let mut sinks = Vec::with_capacity(chunks);
-        sinks.resize_with(chunks, StageSink::new);
-        let mut staged = Vec::with_capacity(chunks);
-        staged.resize_with(chunks, Vec::new);
-        let mut inbox_arena = Vec::with_capacity(chunks);
-        inbox_arena.resize_with(chunks, Vec::new);
-        let mut back_arena = Vec::with_capacity(chunks);
-        back_arena.resize_with(chunks, Vec::new);
+        let per_node = || (0..n).map(|_| None).collect::<Vec<_>>();
         Engine {
             graph,
             churned: None,
@@ -487,21 +539,19 @@ impl<'g, P: Protocol> Engine<'g, P> {
             nodes,
             rngs,
             halted: vec![false; n],
-            rev_edge,
-            inbox_arena,
-            inbox_offsets: vec![0; n],
-            back_arena,
-            back_offsets: vec![0; n],
-            sinks,
+            rev_edge: Vec::new(),
+            sinks: (0..chunks).map(|_| ChunkSlot(StageSink::new())).collect(),
+            gather: (0..chunks).map(|_| ChunkSlot(Vec::new())).collect(),
             runs: vec![(0, 0); n],
-            solo,
+            solo: per_node(),
+            solo_prev: per_node(),
             staged_senders: 0,
-            uniform_solo: false,
+            staged_prev: false,
             send_counts: vec![0; arcs],
             plan_ranges: vec![(0, 0); arcs],
             node_plan_base: vec![0; n + 1],
             plan: Vec::new(),
-            staged,
+            staged: (0..chunks).map(|_| ChunkSlot(Vec::new())).collect(),
             chunk_plan_base: vec![0; chunks + 1],
             node_messages: vec![0; n],
             bounds,
@@ -539,18 +589,16 @@ impl<'g, P: Protocol> Engine<'g, P> {
     ///
     /// When a [`kw_trace::Tracer`] is installed on the driving thread,
     /// every round emits a `round` span with `compute`/`plan`/`send`/
-    /// `deliver` phase children, per-chunk worker-track spans, synthetic
-    /// `barrier` (fork/join overhead) spans, and one [`RoundSample`] —
-    /// see the span taxonomy in the `kw_trace` crate docs. Untraced runs
-    /// pay exactly one thread-local read, here.
+    /// `deliver` phase children — the parallel `compute` and `send` with
+    /// per-chunk worker-track spans and a synthetic `barrier` (fork/join
+    /// overhead) span each — and one [`RoundSample`]; see the span
+    /// taxonomy in the `kw_trace` crate docs. Untraced runs pay exactly
+    /// one thread-local read, here.
     fn drive(&mut self, observer: &mut dyn Observer<P>) -> Result<RunMetrics, SimError> {
         // Round 0 must see empty inboxes even if this engine value was
-        // driven before (a prior drive leaves its final deliveries in the
-        // front arenas): repeated drives reuse no stale plane state.
-        for buf in &mut self.inbox_arena {
-            buf.clear();
-        }
-        self.inbox_offsets.fill(0);
+        // driven before (a prior drive leaves its final sends in flight):
+        // repeated drives reuse no stale plane state.
+        self.drop_inflight();
         let mut metrics = RunMetrics::default();
         let has_down = self.config.faults.has_down();
         let has_churn = self.config.faults.has_churn();
@@ -603,12 +651,9 @@ impl<'g, P: Protocol> Engine<'g, P> {
                 metrics.per_round.push(out.stats);
             }
             self.staged_senders = out.staged;
-            self.uniform_solo = out.uniform_solo;
             if trace {
                 let active = self.halted.iter().filter(|h| !**h).count() as u64;
-                let arena_bytes = (self.inbox_arena.iter().map(Vec::len).sum::<usize>()
-                    * std::mem::size_of::<(u32, P::Msg)>())
-                    as u64;
+                let arena_bytes = (out.gathered * std::mem::size_of::<(u32, P::Msg)>()) as u64;
                 // Pool counters are cumulative; the sample carries the
                 // delta since the previous sample (this round's compute
                 // plus the previous round's delivery). Observability
@@ -667,10 +712,11 @@ impl<'g, P: Protocol> Engine<'g, P> {
     /// Applies the chaos plan's churn events scheduled for `round` (a
     /// no-op when none are): the topology is rebuilt from the original
     /// graph plus the full event prefix up to and including this round,
-    /// the CSR-parallel planes (reverse arcs, per-arc staging state) are
-    /// rebuilt against the new arc layout, and in-flight messages are
-    /// dropped — a message sent across a churn boundary never arrives,
-    /// matching the view that the boundary is a topology reconfiguration.
+    /// the CSR-parallel planes (per-arc staging state now, reverse arcs at
+    /// the next staged round) are rebuilt against the new arc layout, and
+    /// in-flight messages are dropped — a message sent across a churn
+    /// boundary never arrives, matching the view that the boundary is a
+    /// topology reconfiguration.
     fn apply_churn_at(&mut self, round: usize) {
         if self.config.faults.churn_events_at(round).is_empty() {
             return;
@@ -680,7 +726,7 @@ impl<'g, P: Protocol> Engine<'g, P> {
             let applied = events.partition_point(|e| e.round <= round);
             apply_churn(self.graph, &events[..applied])
         };
-        self.rev_edge = build_rev_edge(&rebuilt);
+        self.rev_edge.clear();
         let arcs = rebuilt.num_arcs();
         self.send_counts.clear();
         self.send_counts.resize(arcs, 0);
@@ -693,18 +739,23 @@ impl<'g, P: Protocol> Engine<'g, P> {
         self.bounds = chunk_bounds(rebuilt.offsets(), self.chunks);
         fill_node_chunk(&mut self.node_chunk, &self.bounds);
         // Drop in-flight messages: every inbox reads empty this round.
-        for arena in &mut self.inbox_arena {
-            arena.clear();
-        }
-        self.inbox_offsets.fill(0);
+        self.drop_inflight();
         self.churned = Some(rebuilt);
         self.graph_rebuilds += 1;
     }
 
-    /// Calls `on_round` on every running node. Sends stage directly into
-    /// the flat send arenas through [`StageSink`], which also performs the
-    /// fused sender-side accounting — the per-chunk tallies come back in
-    /// the returned [`ChunkOut`].
+    /// Drops the messages in flight, so this round's gathers read empty
+    /// inboxes.
+    fn drop_inflight(&mut self) {
+        self.solo_prev.fill(None);
+        self.staged_prev = false;
+    }
+
+    /// Calls `on_round` on every running node, each with the inbox its
+    /// worker just gathered from the previous round's send tables. Sends
+    /// stage directly into the flat send arenas through [`StageSink`],
+    /// which also performs the fused sender-side accounting — the
+    /// per-chunk tallies come back in the returned [`ChunkOut`].
     fn compute_phase(
         &mut self,
         round: usize,
@@ -712,10 +763,19 @@ impl<'g, P: Protocol> Engine<'g, P> {
         pool: Option<&WorkerPool>,
     ) -> ChunkOut {
         let graph = self.churned.as_ref().unwrap_or(self.graph);
-        let offsets = &self.inbox_offsets;
         let faults = &self.config.faults;
         let check_wire = self.config.check_wire;
         let chunks = self.chunks;
+        let inflight = Inflight {
+            solo: &self.solo_prev,
+            staged: self.staged_prev,
+            rev_edge: &self.rev_edge,
+            plan_ranges: &self.plan_ranges,
+            node_plan_base: &self.node_plan_base,
+            node_chunk: &self.node_chunk,
+            chunk_plan_base: &self.chunk_plan_base,
+            buffers: &self.staged,
+        };
         if chunks == 1 {
             let start = origin.map(tick_us);
             let out = Self::compute_range(
@@ -725,12 +785,12 @@ impl<'g, P: Protocol> Engine<'g, P> {
                 &mut self.nodes,
                 &mut self.rngs,
                 &mut self.halted,
-                &mut self.sinks[0],
+                &mut self.sinks[0].0,
+                &mut self.gather[0].0,
                 &mut self.runs,
                 &mut self.solo,
                 &mut self.node_messages,
-                &self.inbox_arena[0],
-                offsets,
+                &inflight,
                 faults,
                 check_wire,
             );
@@ -748,11 +808,12 @@ impl<'g, P: Protocol> Engine<'g, P> {
         let solos = split_at_bounds(&mut self.solo, bounds);
         let messages = split_at_bounds(&mut self.node_messages, bounds);
         let sinks = self.sinks[..chunks].iter_mut();
-        let arenas = self.inbox_arena[..chunks].iter();
+        let gathers = self.gather[..chunks].iter_mut();
         let ticks = self.chunk_ticks[..chunks].iter_mut();
+        let inflight = &inflight;
         let outs: Vec<Mutex<Option<ChunkOut>>> = (0..chunks).map(|_| Mutex::new(None)).collect();
         let mut jobs: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(chunks);
-        for (i, (((((((nc, rc), hc), runc), sc), mc), sk), (inb, tick))) in nodes
+        for (i, (((((((nc, rc), hc), runc), sc), mc), sk), (gb, tick))) in nodes
             .into_iter()
             .zip(rngs)
             .zip(halted)
@@ -760,16 +821,16 @@ impl<'g, P: Protocol> Engine<'g, P> {
             .zip(solos)
             .zip(messages)
             .zip(sinks)
-            .zip(arenas.zip(ticks))
+            .zip(gathers.zip(ticks))
             .enumerate()
         {
             let lo = bounds[i];
-            let off = &offsets[lo..bounds[i + 1]];
             let out_slot = &outs[i];
             jobs.push(Box::new(move || {
                 let start = origin.map(tick_us);
                 let out = Self::compute_range(
-                    graph, round, lo, nc, rc, hc, sk, runc, sc, mc, inb, off, faults, check_wire,
+                    graph, round, lo, nc, rc, hc, &mut sk.0, &mut gb.0, runc, sc, mc, inflight,
+                    faults, check_wire,
                 );
                 if let (Some(s0), Some(o)) = (start, origin) {
                     *tick = (s0, tick_us(o));
@@ -789,16 +850,15 @@ impl<'g, P: Protocol> Engine<'g, P> {
                 a.max_message_bits = a.max_message_bits.max(o.max_message_bits);
                 a.wire_ok &= o.wire_ok;
                 a.staged += o.staged;
-                a.uniform_solo &= o.uniform_solo;
+                a.gathered += o.gathered;
                 a.byz_rejected += o.byz_rejected;
                 a
             })
     }
 
-    /// [`compute_phase`](Self::compute_phase) over one node chunk, staging
-    /// into that chunk's send arena and reading the chunk's inbox arena
-    /// through its chunk-local offsets (`inbox_offsets` is the chunk's
-    /// slice; the last node's inbox ends at the arena's length).
+    /// [`compute_phase`](Self::compute_phase) over one node chunk: gathers
+    /// each running node's inbox into the chunk's reused `gather` buffer
+    /// and stages its sends into the chunk's send arena.
     #[allow(clippy::too_many_arguments)]
     // kw-lint: hot
     fn compute_range(
@@ -809,20 +869,22 @@ impl<'g, P: Protocol> Engine<'g, P> {
         rngs: &mut [SmallRng],
         halted: &mut [bool],
         sink: &mut StageSink<P::Msg>,
+        gather: &mut InboxBuf<P::Msg>,
         runs: &mut [(u32, u32)],
         solo: &mut [Option<P::Msg>],
         node_messages: &mut [u64],
-        inbox_arena: &[(u32, P::Msg)],
-        inbox_offsets: &[usize],
+        inflight: &Inflight<'_, P::Msg>,
         faults: &ChaosPlan,
         check_wire: bool,
     ) -> ChunkOut {
         sink.reset_round(check_wire);
+        let offsets = graph.offsets();
+        let targets = graph.targets();
         let lossless = faults.lossless();
         let has_down = faults.has_down();
         let has_byz = faults.has_byzantine();
         let mut staged = 0usize;
-        let mut uniform_solo = true;
+        let mut gathered = 0usize;
         let mut byz_rejected = 0u64;
         for (j, node) in nodes.iter_mut().enumerate() {
             let v = base + j;
@@ -832,22 +894,19 @@ impl<'g, P: Protocol> Engine<'g, P> {
                 // state frozen until recovery.
                 runs[j] = (0, 0);
                 solo[j] = None;
-                uniform_solo = false;
                 continue;
             }
-            let id = NodeId::new(v);
-            let degree = graph.degree(id) as u32;
+            let arc_lo = offsets[v] as usize;
+            let arc_hi = offsets[v + 1] as usize;
+            inflight.gather(arc_lo, &targets[arc_lo..arc_hi], gather);
+            gathered += gather.len();
             let run_start = sink.arena.len();
             let messages_before = sink.messages;
-            let inbox_end = match inbox_offsets.get(j + 1) {
-                Some(&end) => end,
-                None => inbox_arena.len(),
-            };
             let mut ctx = Ctx {
-                node: id,
-                degree,
+                node: NodeId::new(v),
+                degree: (arc_hi - arc_lo) as u32,
                 round,
-                inbox: &inbox_arena[inbox_offsets[j]..inbox_end],
+                inbox: &gather[..],
                 sink: &mut *sink,
                 rng: &mut rngs[j],
             };
@@ -865,11 +924,8 @@ impl<'g, P: Protocol> Engine<'g, P> {
                 Some(Outbound::Broadcast(m)) if lossless && len == 1 => Some(m.clone()),
                 _ => None,
             };
-            if solo[j].is_none() {
-                uniform_solo = false;
-                if len > 0 {
-                    staged += 1;
-                }
+            if solo[j].is_none() && len > 0 {
+                staged += 1;
             }
         }
         // Run starts/lengths were truncated to u32 above; one check of the
@@ -886,7 +942,7 @@ impl<'g, P: Protocol> Engine<'g, P> {
             max_message_bits: sink.max_message_bits,
             wire_ok: sink.wire_ok,
             staged,
-            uniform_solo,
+            gathered,
             byz_rejected,
         }
     }
@@ -931,18 +987,17 @@ impl<'g, P: Protocol> Engine<'g, P> {
         rejected
     }
 
-    /// Sender-indexed delivery into the flat arena: counts staged
-    /// deliveries per arc, prefix-sums them, stages payload clones in
-    /// sender-major order, places every message into its receiver's arena
-    /// slice, then swaps the double buffer. The entire staging half is
-    /// skipped when the round had no staged senders (the broadcast-heavy
-    /// common case).
+    /// Sender-indexed delivery: counts staged deliveries per arc,
+    /// prefix-sums them, stages payload clones in sender-major order, then
+    /// hands this round's tables to the next round's gathers. The entire
+    /// staging half is skipped when the round had no staged senders (the
+    /// broadcast-heavy common case), leaving only the swap.
     // kw-lint: hot
     fn delivery_phase(&mut self, round: usize, origin: Option<Instant>, pool: Option<&WorkerPool>) {
         let trace = origin.is_some();
         // `plan` (sequential count + prefix), `send` (parallel staging)
-        // and `deliver` (parallel placement + swap) spans are emitted
-        // even when the traffic shape skips a sub-phase: skips depend on
+        // and `deliver` (sequential table swap) spans are emitted even
+        // when the traffic shape skips a sub-phase: skips depend on
         // staged traffic, never on the thread count, so the span tree
         // stays structurally identical across 1/2/8 threads.
         if trace {
@@ -959,26 +1014,24 @@ impl<'g, P: Protocol> Engine<'g, P> {
         }
         let built = plan_total > 0;
         if built {
-            self.build_staging(round, plan_total, origin, pool);
-        } else {
-            for buf in &mut self.staged {
-                buf.clear();
+            if self.rev_edge.is_empty() {
+                // First staged round since construction or the last churn
+                // rebuild: the next round's gathers need the reverse arcs.
+                self.rev_edge = build_rev_edge(self.churned.as_ref().unwrap_or(self.graph));
             }
+            self.build_staging(round, plan_total, origin, pool);
         }
         if trace {
             let ticks = &self.chunk_ticks[..if built { self.chunks } else { 0 }];
             kw_trace::with_active(|t| t.end_parallel("send", ticks));
             kw_trace::with_active(|t| t.begin("deliver"));
         }
-        self.place(round, origin, pool);
-        std::mem::swap(&mut self.inbox_arena, &mut self.back_arena);
-        std::mem::swap(&mut self.inbox_offsets, &mut self.back_offsets);
-        // The consumed front arenas (now the back) are cleared by each
-        // chunk's worker at the start of the next placement; offsets are
-        // rewritten wholesale, and send arenas clear at the start of the
-        // next compute phase.
+        // Nothing is copied per message: the next round's gathers read
+        // this round's solo table and, when it was built, its staging.
+        std::mem::swap(&mut self.solo, &mut self.solo_prev);
+        self.staged_prev = built;
         if trace {
-            kw_trace::with_active(|t| t.end_parallel("deliver", &self.chunk_ticks[..self.chunks]));
+            kw_trace::with_active(|t| t.end());
         }
         self.note_plane_capacity();
     }
@@ -1000,11 +1053,14 @@ impl<'g, P: Protocol> Engine<'g, P> {
     /// increase means some buffer grew this round — during compute-phase
     /// staging or during delivery).
     fn plane_capacity(&self) -> usize {
-        self.inbox_arena.iter().map(Vec::capacity).sum::<usize>()
-            + self.back_arena.iter().map(Vec::capacity).sum::<usize>()
+        self.gather.iter().map(|g| g.0.capacity()).sum::<usize>()
             + self.plan.capacity()
-            + self.staged.iter().map(Vec::capacity).sum::<usize>()
-            + self.sinks.iter().map(|s| s.arena.capacity()).sum::<usize>()
+            + self.staged.iter().map(|s| s.0.capacity()).sum::<usize>()
+            + self
+                .sinks
+                .iter()
+                .map(|s| s.0.arena.capacity())
+                .sum::<usize>()
     }
 
     /// One sequential pass over staged senders that counts, per directed
@@ -1049,7 +1105,7 @@ impl<'g, P: Protocol> Engine<'g, P> {
             if len == 0 || solo[u].is_some() {
                 continue;
             }
-            let arena = &sinks[c].arena;
+            let arena = &sinks[c].0.arena;
             let run = &arena[start as usize..(start as usize + len as usize)];
             let arc_lo = offsets[u] as usize;
             let degree = offsets[u + 1] as usize - arc_lo;
@@ -1105,7 +1161,7 @@ impl<'g, P: Protocol> Engine<'g, P> {
         }
         node_plan_base[n] = plan_total;
         // Publish where each chunk's staging buffer starts in the global
-        // index space; placement rebases cross-chunk reads through this.
+        // index space; gathers rebase cross-chunk reads through this.
         for (i, base) in self.chunk_plan_base.iter_mut().enumerate() {
             *base = node_plan_base[bounds[i]];
         }
@@ -1200,15 +1256,15 @@ impl<'g, P: Protocol> Engine<'g, P> {
         };
         if chunks == 1 {
             let start = origin.map(tick_us);
-            self.staged[0].clear();
+            self.staged[0].0.clear();
             fill(
                 0,
                 n,
                 0,
-                &self.sinks[0].arena,
+                &self.sinks[0].0.arena,
                 &mut self.plan[..plan_total],
                 &mut self.plan_ranges,
-                &mut self.staged[0],
+                &mut self.staged[0].0,
             );
             if let (Some(s0), Some(o)) = (start, origin) {
                 self.chunk_ticks[0] = (s0, tick_us(o));
@@ -1246,127 +1302,8 @@ impl<'g, P: Protocol> Engine<'g, P> {
             let fill = &fill;
             jobs.push(Box::new(move || {
                 let start = origin.map(tick_us);
-                sink.clear();
-                fill(base, len, plan_base, &sk.arena, pc, rc, sink);
-                if let (Some(s0), Some(o)) = (start, origin) {
-                    *tick = (s0, tick_us(o));
-                }
-            }));
-        }
-        run_jobs(pool, jobs);
-    }
-
-    /// Copies every delivered message into its receiver's chunk's back
-    /// arena, receivers in ascending order, each receiver's messages in
-    /// `(port, slot)` order — the exact sequence the old receiver-driven
-    /// scan produced — while recording the per-receiver (chunk-local)
-    /// arena offsets. Staged payloads of a sender in another chunk are
-    /// read from that chunk's staging buffer through `node_chunk` +
-    /// `chunk_plan_base`: the thin cross-chunk exchange, read-only by
-    /// construction.
-    fn place(&mut self, round: usize, origin: Option<Instant>, pool: Option<&WorkerPool>) {
-        let n = self.nodes.len();
-        let graph = self.churned.as_ref().unwrap_or(self.graph);
-        let halted = &self.halted;
-        let faults = &self.config.faults;
-        let has_down = faults.has_down();
-        let next = round + 1;
-        let runs = &self.runs;
-        let solo = &self.solo;
-        let rev_edge = &self.rev_edge;
-        let plan_ranges = &self.plan_ranges;
-        let staged = &self.staged;
-        let node_chunk = &self.node_chunk;
-        let chunk_plan_base = &self.chunk_plan_base;
-        let uniform = self.uniform_solo;
-        let chunks = self.chunks;
-        // `offsets_out` entries are chunk-local: each chunk's sink starts
-        // empty, so no rebase pass exists anywhere.
-        let place_range =
-            |lo: usize, hi: usize, offsets_out: &mut [usize], sink: &mut Vec<(u32, P::Msg)>| {
-                sink.clear();
-                let offsets = graph.offsets();
-                let targets = graph.targets();
-                if uniform {
-                    // Uniform-solo round (every sender is an active solo
-                    // broadcaster — the steady state of the paper's
-                    // broadcast-only algorithms): each receiver gets
-                    // exactly one message per port, so placement is one
-                    // exact-length `extend` per receiver with no per-arc
-                    // classification and no per-push capacity checks.
-                    // (A node may still have *halted this round*; it sent,
-                    // but receives nothing. Likewise a node that will be
-                    // down next round receives nothing now.)
-                    for v in lo..hi {
-                        offsets_out[v - lo] = sink.len();
-                        if halted[v] || (has_down && faults.is_down(v as u32, next)) {
-                            continue;
-                        }
-                        let arc_lo = offsets[v] as usize;
-                        let degree = offsets[v + 1] as usize - arc_lo;
-                        let ports = &targets[arc_lo..arc_lo + degree];
-                        sink.extend(ports.iter().enumerate().map(|(q, &u)| {
-                            let m = solo[u as usize]
-                                .as_ref()
-                                .expect("uniform-solo round: every sender has a cached payload");
-                            (q as u32, m.clone())
-                        }));
-                    }
-                    return;
-                }
-                for v in lo..hi {
-                    offsets_out[v - lo] = sink.len();
-                    if halted[v] || (has_down && faults.is_down(v as u32, next)) {
-                        continue;
-                    }
-                    let arc_lo = offsets[v] as usize;
-                    let degree = offsets[v + 1] as usize - arc_lo;
-                    for q in 0..degree {
-                        let u = targets[arc_lo + q] as usize;
-                        if let Some(m) = &solo[u] {
-                            sink.push((q as u32, m.clone()));
-                            continue;
-                        }
-                        if runs[u].1 == 0 {
-                            continue;
-                        }
-                        let j = rev_edge[arc_lo + q] as usize;
-                        let (start, end) = plan_ranges[j];
-                        // Thin cross-chunk exchange: the sender's staged
-                        // payloads live in its own chunk's buffer;
-                        // rebase the global plan indices into it.
-                        let sc = node_chunk[u] as usize;
-                        let base = chunk_plan_base[sc];
-                        for m in &staged[sc][start as usize - base..end as usize - base] {
-                            sink.push((q as u32, m.clone()));
-                        }
-                    }
-                }
-            };
-        if chunks == 1 {
-            let start = origin.map(tick_us);
-            place_range(0, n, &mut self.back_offsets[..n], &mut self.back_arena[0]);
-            if let (Some(s0), Some(o)) = (start, origin) {
-                self.chunk_ticks[0] = (s0, tick_us(o));
-            }
-            return;
-        }
-        let pool = pool.expect("multi-chunk phases run on the worker pool");
-        let bounds = &self.bounds;
-        let offset_chunks = split_at_bounds(&mut self.back_offsets, bounds);
-        let mut jobs: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(chunks);
-        for (i, ((sink, oc), tick)) in self.back_arena[..chunks]
-            .iter_mut()
-            .zip(offset_chunks)
-            .zip(self.chunk_ticks[..chunks].iter_mut())
-            .enumerate()
-        {
-            let lo = bounds[i];
-            let hi = bounds[i + 1];
-            let place_range = &place_range;
-            jobs.push(Box::new(move || {
-                let start = origin.map(tick_us);
-                place_range(lo, hi, oc, sink);
+                sink.0.clear();
+                fill(base, len, plan_base, &sk.0.arena, pc, rc, &mut sink.0);
                 if let (Some(s0), Some(o)) = (start, origin) {
                     *tick = (s0, tick_us(o));
                 }
@@ -1380,7 +1317,8 @@ impl<'g, P: Protocol> Engine<'g, P> {
 /// scanning all arcs in (sender, port) order visits the in-arcs of every
 /// node `u` in ascending sender order, which is exactly `u`'s sorted
 /// adjacency order — so the next free slot of `u` is the reverse arc.
-/// Called at construction and again after every churn rebuild.
+/// Called by the first delivery that builds staging, and again by the
+/// first one after every churn rebuild.
 ///
 /// # Panics
 ///
@@ -1885,6 +1823,24 @@ mod tests {
         let _: u64 = rng.gen();
     }
 
+    /// Asserts that `rev_edge` is `g`'s reverse-arc table: one entry per
+    /// arc, each naming the neighbor's arc that points back.
+    fn assert_rev_edge_inverts(g: &CsrGraph, rev_edge: &[u32]) {
+        assert_eq!(rev_edge.len(), g.num_arcs());
+        let offsets = g.offsets();
+        let targets = g.targets();
+        for v in 0..g.len() {
+            for e in offsets[v] as usize..offsets[v + 1] as usize {
+                let r = rev_edge[e] as usize;
+                // The reverse arc belongs to the neighbor and points back.
+                let u = targets[e] as usize;
+                assert!((offsets[u] as usize..offsets[u + 1] as usize).contains(&r));
+                assert_eq!(targets[r] as usize, v);
+                assert_eq!(rev_edge[r] as usize, e);
+            }
+        }
+    }
+
     #[test]
     fn rev_edge_table_inverts_itself() {
         let mut rng = <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(13);
@@ -1893,22 +1849,68 @@ mod tests {
             generators::star(7),
             generators::gnp(40, 0.2, &mut rng),
         ] {
-            let engine = Engine::new(&g, EngineConfig::default(), |_| MaxFlood {
-                best: 0,
-                rounds_left: 0,
-            });
-            let offsets = g.offsets();
-            let targets = g.targets();
-            for v in 0..g.len() {
-                for e in offsets[v] as usize..offsets[v + 1] as usize {
-                    let r = engine.rev_edge[e] as usize;
-                    // The reverse arc belongs to the neighbor and points back.
-                    let u = targets[e] as usize;
-                    assert!((offsets[u] as usize..offsets[u + 1] as usize).contains(&r));
-                    assert_eq!(targets[r] as usize, v);
-                    assert_eq!(engine.rev_edge[r] as usize, e);
-                }
-            }
+            assert_rev_edge_inverts(&g, &build_rev_edge(&g));
+        }
+    }
+
+    /// One round's compute and delivery as `drive` runs them, without the
+    /// observer and tracer.
+    fn step<P: Protocol>(engine: &mut Engine<'_, P>, round: usize, pool: Option<&WorkerPool>) {
+        let out = engine.compute_phase(round, None, pool);
+        engine.staged_senders = out.staged;
+        engine.delivery_phase(round, None, pool);
+    }
+
+    /// The reverse-arc table costs `O(m)` to build and only staged
+    /// traffic reads it, so it is built by the first staged round — once
+    /// — and rebuilt against the new CSR plane after a churn rebuild.
+    #[test]
+    fn rev_edge_table_is_built_on_first_staged_round() {
+        use kw_graph::{ChurnEvent, ChurnKind};
+        let mut rng = <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(8);
+        let g = generators::gnp(60, 0.15, &mut rng);
+        // Broadcast-only traffic is all solo: nothing ever reads the table.
+        let mut flood = Engine::new(&g, EngineConfig::default(), |info| MaxFlood {
+            best: info.id.raw() as u64,
+            rounds_left: 4,
+        });
+        flood.drive(&mut ()).expect("flood terminates");
+        assert!(flood.rev_edge.is_empty(), "solo rounds built the table");
+
+        // Mixed traffic stages every round: built at round 0, then reused.
+        let u = g.neighbor_slice(NodeId::new(0))[0];
+        let churn = ChaosPlan::reliable().with_churn_event(ChurnEvent {
+            round: 3,
+            kind: ChurnKind::RemoveEdge(0, u),
+        });
+        for threads in [1usize, 4] {
+            let config = EngineConfig {
+                threads,
+                faults: churn.clone(),
+                ..Default::default()
+            };
+            let mut mixed = Engine::new(&g, config, |_| Mixed { rounds_left: 6 });
+            let pool = (mixed.chunks > 1).then(|| WorkerPool::new(mixed.chunks - 1));
+            assert!(mixed.rev_edge.is_empty(), "construction built the table");
+            step(&mut mixed, 0, pool.as_ref());
+            assert_rev_edge_inverts(&g, &mixed.rev_edge);
+            let built = mixed.rev_edge.as_ptr();
+            step(&mut mixed, 1, pool.as_ref());
+            step(&mut mixed, 2, pool.as_ref());
+            assert_eq!(
+                mixed.rev_edge.as_ptr(),
+                built,
+                "table rebuilt without churn"
+            );
+
+            // The churn rebuild clears it; the next staged round rebuilds
+            // it against the churned CSR, which lost one edge.
+            mixed.apply_churn_at(3);
+            assert!(mixed.rev_edge.is_empty(), "churn kept a stale table");
+            step(&mut mixed, 3, pool.as_ref());
+            let churned = mixed.churned.as_ref().expect("churn applied at round 3");
+            assert_eq!(churned.num_arcs(), g.num_arcs() - 2);
+            assert_rev_edge_inverts(churned, &mixed.rev_edge);
         }
     }
 

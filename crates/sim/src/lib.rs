@@ -24,29 +24,32 @@
 //! straight into per-node runs of a flat send arena owned by the engine —
 //! no growable buffer is reachable from algorithm code, and sender-side
 //! metrics, wire checking, and traffic classification are fused into the
-//! send itself. On the delivery side, messages are copied straight into
-//! one contiguous, double-buffered inbox arena — solo broadcasts through
-//! a dense per-sender payload cache, unicast and mixed traffic through a
-//! sender-major staging buffer addressed by a flat reverse-arc table. A
-//! round costs `O(m + traffic)` with the `m`-term reduced to sequential
-//! walks of dense arrays, message-proportional buffers keep their
-//! capacity so steady-state rounds grow nothing, and results are
-//! bit-identical for every thread count. See the [`engine` module
-//! docs](Engine) for the full design and the [`mailbox` module
-//! docs](Ctx) for the send contract.
+//! send itself. On the receiving side nothing is copied between rounds:
+//! just before a node's round, its worker gathers the node's inbox into
+//! one small reused buffer, reading each port's sender from the previous
+//! round's tables — solo broadcasts from a dense per-sender payload
+//! cache, unicast and mixed traffic from a sender-major staging buffer
+//! addressed by a flat reverse-arc table. A round costs `O(m + traffic)`
+//! with the `m`-term reduced to each computing node's walk of its own
+//! ports, message-proportional buffers keep their capacity so
+//! steady-state rounds grow nothing, and results are bit-identical for
+//! every thread count. See the [`engine` module docs](Engine) for the
+//! full design and the [`mailbox` module docs](Ctx) for the send
+//! contract.
 //!
 //! # Parallel execution
 //!
 //! At `threads > 1` the engine partitions nodes into contiguous,
 //! **degree-weighted** chunks (cut points balance `arcs + 4·nodes` per
-//! chunk, recomputed on every churn rebuild) and drives all three
-//! parallel phases — compute, send staging, delivery placement —
+//! chunk, recomputed on every churn rebuild) and drives both parallel
+//! phases — compute (with its inbox gathers) and send staging —
 //! through one persistent epoch-barrier [`pool::WorkerPool`] spawned
 //! once per run, instead of a fresh `std::thread::scope` per phase per
-//! round. Message-plane state (inbox arenas, staging buffers) is
-//! per-chunk; the only cross-chunk traffic is read-only access to other
-//! chunks' staged sends during placement. Outputs, metrics, and trace
-//! structure stay bit-identical for every thread count.
+//! round. Message-plane state (send arenas, staging and gather buffers)
+//! is per-chunk, each chunk's on its own cache lines; the only
+//! cross-chunk traffic is read-only access to other chunks' sends during
+//! the gather. Outputs, metrics, and trace structure stay bit-identical
+//! for every thread count.
 //!
 //! **Port numbering is an invariant of the model, not of the message
 //! plane:** port `q` of node `v` is always `v`'s `q`-th neighbor in

@@ -30,9 +30,8 @@ use kw_graph::NodeId;
 
 /// Outbound message staged by a node during a round.
 ///
-/// A broadcast is materialized once in the send arena; the engine's flat
-/// delivery plane clones it only into the arena slot of each edge it is
-/// delivered on.
+/// A broadcast is materialized once in the send arena; the engine clones
+/// it only into the gathered inbox of each receiver it is delivered to.
 #[derive(Clone, Debug)]
 pub(crate) enum Outbound<M> {
     /// Same payload to every neighbor (still counted as `degree` messages,

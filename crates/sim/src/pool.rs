@@ -1,7 +1,7 @@
 //! Persistent epoch-barrier worker pool.
 //!
-//! The engine's three parallel phases (compute, send-staging, delivery
-//! placement) used to each open a fresh [`std::thread::scope`] every
+//! The engine's parallel phases (compute with its inbox gathers, and
+//! send staging) used to each open a fresh [`std::thread::scope`] every
 //! round — spawn lead + join tail per phase per round, which the trace
 //! plane measured at 26–35% of flood wall time at 2–8 workers
 //! (`docs/BENCH_HISTORY.md`). This module replaces that with a pool

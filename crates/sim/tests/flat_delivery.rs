@@ -8,10 +8,12 @@
 //! messages its neighbor `u` queued in round `r − 1` that address `v`
 //! (broadcasts, plus unicasts whose port points back at `v`), in outbox
 //! slot order, minus fault drops keyed `(round, sender, receiver, slot)`
-//! — and nothing at all once `v` has halted. The property test checks the
+//! — and nothing at all once `v` has halted. The property tests check the
 //! exact sequence (hence the exact multiset) on random G(n, p), star, and
-//! complete graphs, with and without faults; a separate test pins
-//! thread-count determinism on a high-Δ graph with faults enabled.
+//! complete graphs, with and without faults, at 1, 2 and 8 threads, so
+//! every chunk layout's gather — cross-chunk staged reads included — is
+//! held to the model; a separate test pins thread-count determinism on a
+//! high-Δ graph with faults enabled.
 
 use kw_graph::{generators, CsrGraph, NodeId};
 use kw_sim::rng::split_mix64;
@@ -174,10 +176,22 @@ fn run_scripted(
     .expect("scripted run terminates")
 }
 
-fn assert_matches_reference(g: &CsrGraph, max_rounds: usize, faults: ChaosPlan, flavor: Flavor) {
+/// The engine thread counts every reference check runs at. Graphs with
+/// fewer than `2 × threads` nodes run as one chunk; larger ones split
+/// into two or eight, so staged copies cross chunk boundaries.
+const THREADS: [usize; 3] = [1, 2, 8];
+
+fn assert_matches_reference(
+    g: &CsrGraph,
+    max_rounds: usize,
+    faults: ChaosPlan,
+    flavor: Flavor,
+    threads: usize,
+) {
     let config = EngineConfig {
         faults: faults.clone(),
         check_wire: true,
+        threads,
         ..Default::default()
     };
     let report = run_scripted(g, max_rounds, config, flavor);
@@ -185,7 +199,8 @@ fn assert_matches_reference(g: &CsrGraph, max_rounds: usize, faults: ChaosPlan, 
         let expected = expected_log(g, v, max_rounds, &faults, flavor);
         assert_eq!(
             report.outputs[v], expected,
-            "inbox mismatch at node {v} on {g:?} (faults: {faults:?}, flavor: {flavor:?})"
+            "inbox mismatch at node {v} on {g:?} at {threads} threads \
+             (faults: {faults:?}, flavor: {flavor:?})"
         );
     }
 }
@@ -197,22 +212,28 @@ proptest! {
     fn flat_plane_matches_reference_on_gnp(seed in any::<u64>(), n in 4usize..36) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let g = generators::gnp(n, 0.25, &mut rng);
-        assert_matches_reference(&g, 6, ChaosPlan::reliable(), Flavor::Mixed);
-        assert_matches_reference(&g, 6, ChaosPlan::reliable().with_drop(0.3).with_fault_seed(seed ^ 0x5ca1ab1e), Flavor::Mixed);
+        for threads in THREADS {
+            assert_matches_reference(&g, 6, ChaosPlan::reliable(), Flavor::Mixed, threads);
+            assert_matches_reference(&g, 6, ChaosPlan::reliable().with_drop(0.3).with_fault_seed(seed ^ 0x5ca1ab1e), Flavor::Mixed, threads);
+        }
     }
 
     #[test]
     fn flat_plane_matches_reference_on_star(n in 3usize..40, fault_seed in any::<u64>()) {
         let g = generators::star(n);
-        assert_matches_reference(&g, 5, ChaosPlan::reliable(), Flavor::Mixed);
-        assert_matches_reference(&g, 5, ChaosPlan::reliable().with_drop(0.4).with_fault_seed(fault_seed), Flavor::Mixed);
+        for threads in THREADS {
+            assert_matches_reference(&g, 5, ChaosPlan::reliable(), Flavor::Mixed, threads);
+            assert_matches_reference(&g, 5, ChaosPlan::reliable().with_drop(0.4).with_fault_seed(fault_seed), Flavor::Mixed, threads);
+        }
     }
 
     #[test]
     fn flat_plane_matches_reference_on_complete(n in 2usize..16, fault_seed in any::<u64>()) {
         let g = generators::complete(n);
-        assert_matches_reference(&g, 4, ChaosPlan::reliable(), Flavor::Mixed);
-        assert_matches_reference(&g, 4, ChaosPlan::reliable().with_drop(0.2).with_fault_seed(fault_seed), Flavor::Mixed);
+        for threads in THREADS {
+            assert_matches_reference(&g, 4, ChaosPlan::reliable(), Flavor::Mixed, threads);
+            assert_matches_reference(&g, 4, ChaosPlan::reliable().with_drop(0.2).with_fault_seed(fault_seed), Flavor::Mixed, threads);
+        }
     }
 
     /// Unicast bursts push several messages down one arc in a round; the
@@ -222,15 +243,19 @@ proptest! {
     fn arena_send_path_matches_reference_on_unicast_bursts(seed in any::<u64>(), n in 4usize..32) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let g = generators::gnp(n, 0.3, &mut rng);
-        assert_matches_reference(&g, 6, ChaosPlan::reliable(), Flavor::Burst);
-        assert_matches_reference(&g, 6, ChaosPlan::reliable().with_drop(0.35).with_fault_seed(seed ^ 0xb0b), Flavor::Burst);
+        for threads in THREADS {
+            assert_matches_reference(&g, 6, ChaosPlan::reliable(), Flavor::Burst, threads);
+            assert_matches_reference(&g, 6, ChaosPlan::reliable().with_drop(0.35).with_fault_seed(seed ^ 0xb0b), Flavor::Burst, threads);
+        }
     }
 
     #[test]
     fn arena_send_path_matches_reference_on_star_bursts(n in 3usize..36, fault_seed in any::<u64>()) {
         let g = generators::star(n);
-        assert_matches_reference(&g, 5, ChaosPlan::reliable(), Flavor::Burst);
-        assert_matches_reference(&g, 5, ChaosPlan::reliable().with_drop(0.25).with_fault_seed(fault_seed), Flavor::Burst);
+        for threads in THREADS {
+            assert_matches_reference(&g, 5, ChaosPlan::reliable(), Flavor::Burst, threads);
+            assert_matches_reference(&g, 5, ChaosPlan::reliable().with_drop(0.25).with_fault_seed(fault_seed), Flavor::Burst, threads);
+        }
     }
 }
 

@@ -6,8 +6,8 @@
 //! as monotonic microsecond tick pairs in flat per-track buffers — no
 //! locks on the record path, no allocation per span beyond amortized
 //! `Vec` growth — plus a per-round counter series ([`RoundSample`]:
-//! messages, bits, active nodes, inbox-arena bytes, plane rebuilds, and
-//! worker-pool wakeup/idle diagnostics) sampled at round boundaries.
+//! messages, bits, active nodes, gathered inbox bytes, plane rebuilds,
+//! and worker-pool wakeup/idle diagnostics) sampled at round boundaries.
 //!
 //! ## Activation model
 //!
@@ -49,9 +49,10 @@ use std::time::Instant;
 
 /// The engine's phase taxonomy, in the canonical reporting order.
 /// `plan` = the sequential per-arc delivery count/prefix pass, `send` =
-/// parallel sender-major staging, `deliver` = parallel placement into
-/// the inbox arena (plus the buffer swap), `compute` = the parallel
-/// `on_round` pass, `barrier` = synchronization overhead of the parallel
+/// parallel sender-major staging, `deliver` = the sequential swap that
+/// hands a round's send tables to the next round (no per-message copy),
+/// `compute` = the parallel pass that gathers each node's inbox and runs
+/// its `on_round`, `barrier` = synchronization overhead of the parallel
 /// phases (epoch-publish lead + done-wait tail on the persistent worker
 /// pool, synthesized by [`Tracer::end_parallel`]).
 pub const PHASES: [&str; 5] = ["plan", "send", "deliver", "compute", "barrier"];
@@ -97,9 +98,10 @@ pub struct RoundSample {
     pub bits: u64,
     /// Nodes still running (not halted) after this round's compute.
     pub active: u64,
-    /// Bytes of the inbox arena read by this round's compute phase
-    /// (`entries × size_of::<(u32, Msg)>` — delivered traffic, not
-    /// capacity, so the value is thread-count invariant).
+    /// Bytes of inbox handed to this round's `on_round` calls: the
+    /// entries every worker gathered, times `size_of::<(u32, Msg)>` —
+    /// delivered traffic, not capacity, so the value is thread-count
+    /// invariant.
     pub arena_bytes: u64,
     /// Cumulative churn-forced message-plane rebuilds so far.
     pub rebuilds: u64,

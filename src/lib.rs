@@ -330,9 +330,9 @@
 //!   and chunk imbalance are first-class measurements rather than
 //!   inferred gaps;
 //! * **per-round counter series** — [`RoundSample`](kw_trace::RoundSample)
-//!   carries messages, bits, active nodes, arena bytes, and graph
-//!   rebuilds per round, a time series the scalar `RunMetrics` totals
-//!   cannot express.
+//!   carries messages, bits, active nodes, gathered inbox bytes, and
+//!   graph rebuilds per round, a time series the scalar `RunMetrics`
+//!   totals cannot express.
 //!
 //! Instrumentation sites use [`kw_trace::with_active`], which is a
 //! single thread-local check when no tracer is installed — a paired A/B
