@@ -16,10 +16,10 @@
 //! goes through the same `DsSolver` trait as every reliable experiment;
 //! the certificate reports whether domination survived.
 
-use kw_bench::stats;
-use kw_bench::table::Table;
 use kw_core::solver::{SolveContext, SolverRegistry};
 use kw_graph::generators;
+use kw_results::render::Table;
+use kw_results::Percentiles;
 use kw_sim::ChaosPlan;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -74,13 +74,14 @@ fn main() {
             assert_eq!(cert.dominates, miss == 0);
             dominating += u64::from(cert.dominates);
         }
+        let mean = |xs: &[f64]| Percentiles::from_samples(xs).mean;
         table.row([
             format!("{drop:.2}"),
-            format!("{:.1}", stats::mean(&sizes)),
-            format!("{:.2}", stats::mean(&sizes) / lower),
-            format!("{:.1}", stats::mean(&fracs)),
+            format!("{:.1}", mean(&sizes)),
+            format!("{:.2}", mean(&sizes) / lower),
+            format!("{:.1}", mean(&fracs)),
             format!("{:.2}", dominating as f64 / seeds as f64),
-            format!("{:.2}", stats::mean(&uncovered)),
+            format!("{:.2}", mean(&uncovered)),
         ]);
     }
     println!("{table}");

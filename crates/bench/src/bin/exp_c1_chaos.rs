@@ -22,10 +22,10 @@
 //! binary replays every cell from the store — the binary asserts the
 //! 100% cache-hit resume itself.
 
-use kw_bench::table::Table;
 use kw_bench::workloads::Workload;
 use kw_core::solver::{DsSolver, ExperimentRunner, SolveContext};
 use kw_results::pipeline::SweepSession;
+use kw_results::render::Table;
 use kw_results::summary::Summary;
 use kw_sim::ChaosPlan;
 
@@ -69,8 +69,8 @@ fn main() {
     let solvers = registry.build_all(["kw:k=3"]).expect("kw registered");
 
     // --- the ladder: one sweep per chaos level through one session ------
+    let spec = solvers[0].spec();
     let mut all_records = Vec::new();
-    let mut reliable_msgs: Vec<f64> = Vec::new(); // per-workload baseline
     let mut table = Table::new([
         "chaos",
         "workload",
@@ -82,6 +82,7 @@ fn main() {
     ]);
     for (label, clause) in LEVELS {
         let faults = ChaosPlan::parse(clause).expect("ladder clause parses");
+        let chaos = faults.spec();
         let runner = ExperimentRunner::new().workers(0).context(SolveContext {
             faults,
             ..SolveContext::default()
@@ -92,14 +93,21 @@ fn main() {
         if let Some(e) = &out.store_error {
             eprintln!("warning: run store append failed ({e})");
         }
-        for (i, cell) in out.cells.iter().enumerate() {
-            if *clause == LEVELS[0].1 {
-                reliable_msgs.push(cell.messages.mean);
-            }
-            let overhead = cell.messages.mean / reliable_msgs[i] - 1.0;
+        all_records.extend(out.records);
+        // The reliable level runs first, so every workload's baseline
+        // is already in the rollup.
+        let summary = Summary::from_records(&all_records);
+        for (workload, _) in &workloads {
+            let cell = summary
+                .cell_under(&spec, workload, &chaos)
+                .expect("chaos cell ran");
+            let reliable = summary
+                .cell_under(&spec, workload, "")
+                .expect("reliable cell ran");
+            let overhead = cell.messages.mean / reliable.messages.mean - 1.0;
             table.row([
                 label.to_string(),
-                cell.workload.clone(),
+                workload.clone(),
                 format!("{:.1}", cell.size.mean),
                 format!("{:.2}", cell.ratio_vs_lemma1.mean),
                 format!("{:.2}", 1.0 - cell.failures as f64 / cell.runs as f64),
@@ -107,7 +115,6 @@ fn main() {
                 format!("{:+.0}%", overhead * 100.0),
             ]);
         }
-        all_records.extend(out.records);
     }
     println!("{table}");
 

@@ -6,10 +6,10 @@
 //! carries Algorithm 3's fractional solution and stage metrics; the
 //! `vs alg2` column uses the centralized Algorithm 2 reference oracle.
 
-use kw_bench::table::Table;
 use kw_bench::workloads::small_suite;
 use kw_core::solver::{SolveContext, SolverRegistry};
 use kw_core::{alg2, math};
+use kw_results::render::Table;
 
 fn main() {
     println!("T2 — Theorem 5: Algorithm 3 (Δ unknown), LP approximation ratio & rounds\n");

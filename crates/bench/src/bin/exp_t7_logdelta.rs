@@ -12,11 +12,12 @@
 //! resumable: kill it at any rung and restart to continue from there.
 
 use kw_bench::denominators::best_denominator;
-use kw_bench::table::Table;
 use kw_core::math;
 use kw_core::solver::{ExperimentRunner, SolverRegistry};
 use kw_graph::generators;
 use kw_results::pipeline::SweepSession;
+use kw_results::render::Table;
+use kw_results::summary::Summary;
 
 fn main() {
     println!("T7 — k = Θ(log Δ): O(log²Δ) ratio in O(log²Δ) rounds\n");
@@ -49,7 +50,8 @@ fn main() {
         let k = math::log_delta_k(delta);
         let denom = best_denominator(&g, 0, 0); // Lemma 1 at scale
         let solver = registry.build(&format!("kw:k={k}")).expect("kw registered");
-        let workloads = vec![(format!("cliques(6x{clique})"), g.clone())];
+        let label = format!("cliques(6x{clique})");
+        let workloads = vec![(label.clone(), g.clone())];
         let out = session
             .run(
                 &runner,
@@ -59,7 +61,10 @@ fn main() {
                 |_| {},
             )
             .expect("sweep runs");
-        let cell = &out.cells[0];
+        let summary = Summary::from_records(&out.records);
+        let cell = summary
+            .cell_under(&solver.spec(), &label, "")
+            .expect("kw cell ran");
         assert_eq!(cell.failures, 0);
         solved += out.solved;
         cached += out.cached;

@@ -12,6 +12,4 @@
 pub mod denominators;
 pub mod instances;
 pub mod mix;
-pub mod stats;
-pub mod table;
 pub mod workloads;

@@ -16,7 +16,7 @@
 //!   `"kw:k=2"` or `"connected(greedy)"` ([`spec::SolverSpec`] documents
 //!   the grammar);
 //! * [`ExperimentRunner`] — fans a solver × workload × seed matrix into
-//!   batched, optionally multi-threaded runs with aggregated statistics.
+//!   batched, optionally multi-threaded runs, one [`RunRecord`] per run.
 //!
 //! The paper pipeline lives here ([`registry::register_core_solvers`]);
 //! the five baselines register themselves from `kw_baselines` and the
@@ -54,9 +54,7 @@ use crate::CoreError;
 pub use events::{RunEvent, RunRecord};
 pub use pipeline_solvers::{CompositeSolver, FractionalSolver, PipelineSolver};
 pub use registry::SolverRegistry;
-pub use runner::{
-    solve_cell, CellSummary, ExperimentCache, ExperimentRunner, RunOutcome, SummaryStats,
-};
+pub use runner::{solve_cell, ExperimentCache, ExperimentRunner, RunOutcome};
 pub use spec::SolverSpec;
 
 /// Execution environment of a solve call.

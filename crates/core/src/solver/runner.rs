@@ -14,9 +14,9 @@ use kw_graph::CsrGraph;
 use crate::solver::events::{RunEvent, RunRecord};
 use crate::solver::{traced_solve, DsSolver, SolveContext, SolveError, SolveReport};
 
-/// The numbers a [`CellSummary`] aggregates from one `(solver, workload,
-/// seed)` run — everything the runner (and the `kw_results` run store)
-/// needs to re-summarize a cell without re-solving it.
+/// The numbers one `(solver, workload, seed)` run produced — everything
+/// the runner (and the `kw_results` run store) needs to report a run
+/// without re-solving it.
 ///
 /// `wall_ms` is measurement metadata, not part of the deterministic
 /// outcome: a cache hit or store replay reports the *original* solve's
@@ -82,7 +82,7 @@ type OutcomeKey = (String, String, u64, String, usize);
 /// let workloads = vec![("grid4".to_string(), generators::grid(4, 4))];
 /// let first = runner.run_matrix(&solvers, &workloads, 0..3)?;
 /// let again = runner.run_matrix(&solvers, &workloads, 0..3)?;
-/// assert_eq!(first[0].size, again[0].size);
+/// assert_eq!(first, again); // a hit replays the original record
 /// assert_eq!(cache.hits(), 3); // the second sweep re-solved nothing
 /// # Ok::<(), kw_core::solver::SolveError>(())
 /// ```
@@ -281,73 +281,13 @@ pub fn solve_cell(
     Ok((report, outcome))
 }
 
-/// Five-number summary of a sample set.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct SummaryStats {
-    /// Number of samples.
-    pub count: usize,
-    /// Arithmetic mean (0 when empty).
-    pub mean: f64,
-    /// Population standard deviation (0 when empty).
-    pub std_dev: f64,
-    /// Minimum (0 when empty).
-    pub min: f64,
-    /// Maximum (0 when empty).
-    pub max: f64,
-}
-
-impl SummaryStats {
-    /// Summarizes `samples`.
-    pub fn from_samples(samples: &[f64]) -> Self {
-        if samples.is_empty() {
-            return Self::default();
-        }
-        let count = samples.len();
-        let mean = samples.iter().sum::<f64>() / count as f64;
-        let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / count as f64;
-        SummaryStats {
-            count,
-            mean,
-            std_dev: var.sqrt(),
-            min: samples.iter().copied().fold(f64::INFINITY, f64::min),
-            max: samples.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-        }
-    }
-}
-
-/// Aggregated results of one (solver, workload) cell across seeds.
-#[derive(Clone, Debug)]
-pub struct CellSummary {
-    /// Canonical spec of the solver.
-    pub solver: String,
-    /// Workload label.
-    pub workload: String,
-    /// Node count of the workload graph.
-    pub n: usize,
-    /// Maximum degree `Δ` of the workload graph.
-    pub max_degree: usize,
-    /// Number of seeds run.
-    pub runs: usize,
-    /// Runs whose output failed to dominate (possible only under message
-    /// loss; always 0 on reliable networks).
-    pub failures: usize,
-    /// Dominating-set sizes.
-    pub size: SummaryStats,
-    /// Synchronous round counts (identical across seeds for the paper's
-    /// constant-round algorithms).
-    pub rounds: SummaryStats,
-    /// Total message counts.
-    pub messages: SummaryStats,
-    /// Ratio of set size to the Lemma-1 lower bound.
-    pub ratio_vs_lemma1: SummaryStats,
-}
-
 /// Runs solver × workload × seed matrices, optionally spreading cells
 /// over worker threads.
 ///
 /// Results are deterministic and thread-count-independent: each cell's
-/// seeds run in order, and cells are returned in solver-major order
-/// (`solvers[0]` over all workloads first) regardless of scheduling.
+/// seeds run in order, and records are returned solver-major, then by
+/// workload, then by seed (`solvers[0]` over all workloads first)
+/// regardless of scheduling.
 ///
 /// # Example
 ///
@@ -358,11 +298,11 @@ pub struct CellSummary {
 /// let registry = SolverRegistry::with_core_solvers();
 /// let solvers = registry.build_all(["kw:k=2", "alg2:k=2"])?;
 /// let workloads = vec![("grid5".to_string(), generators::grid(5, 5))];
-/// let cells = ExperimentRunner::new()
+/// let records = ExperimentRunner::new()
 ///     .run_matrix(&solvers, &workloads, 0..4)?;
-/// assert_eq!(cells.len(), 2);
-/// assert_eq!(cells[0].runs, 4);
-/// assert_eq!(cells[0].failures, 0);
+/// assert_eq!(records.len(), 2 * 4);
+/// assert_eq!(records[0].solver, "kw:k=2");
+/// assert!(records.iter().all(|r| r.outcome.dominates));
 /// # Ok::<(), kw_core::solver::SolveError>(())
 /// ```
 #[derive(Clone, Debug, Default)]
@@ -405,20 +345,21 @@ impl ExperimentRunner {
         self.base.clone()
     }
 
-    /// Runs every solver on every workload for every seed, aggregating
-    /// each (solver, workload) cell.
+    /// Runs every solver on every workload for every seed, returning one
+    /// [`RunRecord`] per run: solver-major, then by workload, then by
+    /// seed.
     ///
     /// # Errors
     ///
     /// The first [`SolveError`] aborts the sweep. Outputs that fail to
-    /// dominate are *not* errors; they are counted per cell in
-    /// [`CellSummary::failures`] (and excluded from the quality stats).
+    /// dominate are *not* errors; their records carry
+    /// `outcome.dominates == false`.
     pub fn run_matrix<S: DsSolver>(
         &self,
         solvers: &[S],
         workloads: &[(String, CsrGraph)],
         seeds: impl IntoIterator<Item = u64>,
-    ) -> Result<Vec<CellSummary>, SolveError> {
+    ) -> Result<Vec<RunRecord>, SolveError> {
         let seeds: Vec<u64> = seeds.into_iter().collect();
         self.run_matrix_inner(solvers, workloads, &seeds, None, &SweepCounters::default())
     }
@@ -446,7 +387,7 @@ impl ExperimentRunner {
         workloads: &[(String, CsrGraph)],
         seeds: impl IntoIterator<Item = u64>,
         events: SyncSender<RunEvent>,
-    ) -> Result<Vec<CellSummary>, SolveError> {
+    ) -> Result<Vec<RunRecord>, SolveError> {
         let seeds: Vec<u64> = seeds.into_iter().collect();
         let _ = events.send(RunEvent::SweepStarted {
             solvers: solvers.len(),
@@ -471,7 +412,7 @@ impl ExperimentRunner {
         seeds: &[u64],
         events: Option<&SyncSender<RunEvent>>,
         counters: &SweepCounters,
-    ) -> Result<Vec<CellSummary>, SolveError> {
+    ) -> Result<Vec<RunRecord>, SolveError> {
         // Labels key the cell cache and the run store; a duplicate label
         // would silently serve one workload the other's cached results,
         // so the matrix fails fast before any cell runs.
@@ -506,7 +447,7 @@ impl ExperimentRunner {
                 let (s, w) = cells[i];
                 let (label, graph) = &workloads[w];
                 match self.run_cell(&solvers[s], label, graph, seeds, emitter.as_mut(), counters) {
-                    Ok(summary) => results.lock().unwrap()[i] = Some(summary),
+                    Ok(records) => results.lock().unwrap()[i] = Some(records),
                     Err(e) => {
                         first_error.lock().unwrap().get_or_insert(e);
                         break;
@@ -531,7 +472,7 @@ impl ExperimentRunner {
             .into_inner()
             .unwrap()
             .into_iter()
-            .map(|c| c.expect("all cells completed"))
+            .flat_map(|c| c.expect("all cells completed"))
             .collect())
     }
 
@@ -543,16 +484,12 @@ impl ExperimentRunner {
         seeds: &[u64],
         mut emitter: Option<&mut Emitter>,
         counters: &SweepCounters,
-    ) -> Result<CellSummary, SolveError> {
+    ) -> Result<Vec<RunRecord>, SolveError> {
         let ctx = &self.base;
         let chaos = ctx.faults.spec();
         let spec = solver.spec();
-        let mut sizes = Vec::new();
-        let mut rounds = Vec::new();
-        let mut messages = Vec::new();
-        let mut ratios = Vec::new();
-        let mut runs = 0usize;
-        let mut failures = 0usize;
+        let max_degree = graph.max_degree();
+        let mut records = Vec::with_capacity(seeds.len());
         for &seed in seeds {
             if let Some(e) = emitter.as_deref_mut() {
                 e.emit(|worker, seq| RunEvent::CellStarted {
@@ -603,17 +540,18 @@ impl ExperimentRunner {
                     }
                 },
             };
+            let record = RunRecord {
+                solver: spec.clone(),
+                workload: label.to_string(),
+                n: graph.len(),
+                max_degree,
+                seed,
+                chaos: chaos.clone(),
+                threads: ctx.threads,
+                outcome,
+            };
             if let Some(e) = emitter.as_deref_mut() {
-                let record = RunRecord {
-                    solver: spec.clone(),
-                    workload: label.to_string(),
-                    n: graph.len(),
-                    max_degree: graph.max_degree(),
-                    seed,
-                    chaos: chaos.clone(),
-                    threads: ctx.threads,
-                    outcome,
-                };
+                let record = record.clone();
                 e.emit(|worker, seq| {
                     if was_cached {
                         RunEvent::CellCached {
@@ -630,28 +568,9 @@ impl ExperimentRunner {
                     }
                 });
             }
-            runs += 1;
-            if !outcome.dominates {
-                failures += 1;
-                continue;
-            }
-            sizes.push(outcome.size);
-            rounds.push(outcome.rounds);
-            messages.push(outcome.messages);
-            ratios.push(outcome.ratio_vs_lemma1);
+            records.push(record);
         }
-        Ok(CellSummary {
-            solver: spec,
-            workload: label.to_string(),
-            n: graph.len(),
-            max_degree: graph.max_degree(),
-            runs,
-            failures,
-            size: SummaryStats::from_samples(&sizes),
-            rounds: SummaryStats::from_samples(&rounds),
-            messages: SummaryStats::from_samples(&messages),
-            ratio_vs_lemma1: SummaryStats::from_samples(&ratios),
-        })
+        Ok(records)
     }
 }
 
@@ -706,44 +625,48 @@ mod tests {
         ]
     }
 
-    #[test]
-    fn summary_stats_basics() {
-        let s = SummaryStats::from_samples(&[1.0, 2.0, 3.0]);
-        assert_eq!(s.count, 3);
-        assert!((s.mean - 2.0).abs() < 1e-12);
-        assert!((s.std_dev - (2.0f64 / 3.0).sqrt()).abs() < 1e-12);
-        assert_eq!((s.min, s.max), (1.0, 3.0));
-        assert_eq!(SummaryStats::from_samples(&[]), SummaryStats::default());
+    /// A record with its wall time zeroed: everything about a run that
+    /// is deterministic.
+    fn answer(r: &RunRecord) -> RunRecord {
+        let mut r = r.clone();
+        r.outcome.wall_ms = 0.0;
+        r
+    }
+
+    fn answers(records: &[RunRecord]) -> Vec<RunRecord> {
+        records.iter().map(answer).collect()
     }
 
     #[test]
     fn matrix_covers_all_cells_in_solver_major_order() {
         let registry = SolverRegistry::with_core_solvers();
         let solvers = registry.build_all(["kw:k=2", "composite:k=2"]).unwrap();
-        let cells = ExperimentRunner::new()
+        let records = ExperimentRunner::new()
             .run_matrix(&solvers, &workloads(), 0..3)
             .unwrap();
-        assert_eq!(cells.len(), 4);
+        let mut expected = Vec::new();
+        for solver in ["kw:k=2", "composite:k=2"] {
+            for workload in ["grid4", "petersen"] {
+                for seed in 0..3 {
+                    expected.push((solver, workload, seed));
+                }
+            }
+        }
         assert_eq!(
-            cells
+            records
                 .iter()
-                .map(|c| (c.solver.as_str(), c.workload.as_str()))
+                .map(|r| (r.solver.as_str(), r.workload.as_str(), r.seed))
                 .collect::<Vec<_>>(),
-            vec![
-                ("kw:k=2", "grid4"),
-                ("kw:k=2", "petersen"),
-                ("composite:k=2", "grid4"),
-                ("composite:k=2", "petersen"),
-            ]
+            expected
         );
-        for cell in &cells {
-            assert_eq!(cell.runs, 3);
-            assert_eq!(cell.failures, 0);
-            assert_eq!(cell.size.count, 3);
-            assert!(cell.size.mean >= 1.0);
-            assert!(cell.ratio_vs_lemma1.mean >= 1.0 - 1e-9);
-            // Constant-round algorithms: identical rounds across seeds.
-            assert_eq!(cell.rounds.min, cell.rounds.max);
+        for cell in records.chunks(3) {
+            for r in cell {
+                assert!(r.outcome.dominates);
+                assert!(r.outcome.size >= 1.0);
+                assert!(r.outcome.ratio_vs_lemma1 >= 1.0 - 1e-9);
+                // Constant-round algorithms: identical rounds across seeds.
+                assert_eq!(r.outcome.rounds, cell[0].outcome.rounds);
+            }
         }
     }
 
@@ -760,15 +683,8 @@ mod tests {
             .workers(4)
             .run_matrix(&solvers, &workloads(), 0..2)
             .unwrap();
-        assert_eq!(seq.len(), par.len());
-        for (a, b) in seq.iter().zip(&par) {
-            assert_eq!(
-                (a.solver.as_str(), a.workload.as_str()),
-                (b.solver.as_str(), b.workload.as_str())
-            );
-            assert_eq!(a.size, b.size);
-            assert_eq!(a.messages, b.messages);
-        }
+        assert_eq!(seq.len(), 3 * workloads().len() * 2);
+        assert_eq!(answers(&seq), answers(&par));
     }
 
     #[test]
@@ -814,10 +730,10 @@ mod tests {
     fn empty_matrix_is_empty() {
         let registry = SolverRegistry::with_core_solvers();
         let solvers = registry.build_all(["kw"]).unwrap();
-        let cells = ExperimentRunner::new()
+        let records = ExperimentRunner::new()
             .run_matrix(&solvers, &[], 0..2)
             .unwrap();
-        assert!(cells.is_empty());
+        assert!(records.is_empty());
     }
 
     #[test]
@@ -841,13 +757,8 @@ mod tests {
             triples as u64,
             "second sweep must not solve"
         );
-        for (a, b) in first.iter().zip(&second) {
-            assert_eq!(a.size, b.size);
-            assert_eq!(a.rounds, b.rounds);
-            assert_eq!(a.messages, b.messages);
-            assert_eq!(a.ratio_vs_lemma1, b.ratio_vs_lemma1);
-            assert_eq!(a.failures, b.failures);
-        }
+        // A hit replays the original record, wall time included.
+        assert_eq!(first, second);
     }
 
     #[test]
@@ -864,16 +775,13 @@ mod tests {
             cache.misses(),
             (solvers.len() * workloads().len() * 4) as u64
         );
-        assert_eq!(wide[0].runs, 4);
+        assert_eq!(wide.len(), workloads().len() * 4);
+        assert!(narrow.iter().all(|r| wide.contains(r)), "hits replay");
         // And matches an uncached run bit for bit.
         let uncached = ExperimentRunner::new()
             .run_matrix(&solvers, &workloads(), 0..4)
             .unwrap();
-        for (a, b) in wide.iter().zip(&uncached) {
-            assert_eq!(a.size, b.size);
-            assert_eq!(a.messages, b.messages);
-        }
-        assert_eq!(narrow[0].runs, 2);
+        assert_eq!(answers(&wide), answers(&uncached));
     }
 
     #[test]
@@ -888,11 +796,7 @@ mod tests {
         let replay = cached_runner
             .run_matrix(&solvers, &workloads(), 0..2)
             .unwrap();
-        for (a, b) in warm.iter().zip(&replay) {
-            assert_eq!(a.size, b.size);
-            assert_eq!(a.messages, b.messages);
-            assert_eq!(a.ratio_vs_lemma1, b.ratio_vs_lemma1);
-        }
+        assert_eq!(warm, replay);
     }
 
     #[test]
@@ -915,13 +819,10 @@ mod tests {
         // And a lossy re-run hits only the lossy entries.
         let noisy_again = lossy.run_matrix(&solvers, &workloads(), 0..2).unwrap();
         assert_eq!(cache.hits(), (workloads().len() * 2) as u64);
-        for (a, b) in noisy.iter().zip(&noisy_again) {
-            assert_eq!(a.size, b.size);
-            assert_eq!(a.failures, b.failures);
-        }
-        // Sanity: lossy messages differ from reliable only via outcomes,
-        // both summaries exist independently.
-        assert_eq!(clean[0].runs, 2);
+        assert_eq!(noisy, noisy_again);
+        // Each record names the plan it ran under.
+        assert!(clean.iter().all(|r| r.chaos.is_empty()));
+        assert!(noisy.iter().all(|r| r.chaos == "drop=0.4,seed=5"));
     }
 
     /// Satellite coverage for outcome keying: two *lossy* plans that
@@ -951,10 +852,7 @@ mod tests {
         // Each plan still hits its own entries on replay.
         let a2 = lossy(1).run_matrix(&solvers, &workloads(), 0..3).unwrap();
         assert_eq!(cache.hits(), misses_after_a);
-        for (x, y) in a.iter().zip(&a2) {
-            assert_eq!(x.size, y.size);
-            assert_eq!(x.failures, y.failures);
-        }
+        assert_eq!(a, a2);
         let _ = b;
     }
 
@@ -977,15 +875,22 @@ mod tests {
             });
             (cells, events)
         };
-        let (cells, events) = run(&runner);
-        // The streamed summaries equal the batch API's.
+        let (records, events) = run(&runner);
+        // The streamed records equal the batch API's.
         let batch = ExperimentRunner::new()
             .run_matrix(&solvers, &workloads(), 0..3)
             .unwrap();
-        for (a, b) in cells.iter().zip(&batch) {
-            assert_eq!(a.size, b.size);
-            assert_eq!(a.messages, b.messages);
-        }
+        assert_eq!(answers(&records), answers(&batch));
+        // Each terminal event carries exactly the record the sweep returns.
+        let streamed: Vec<&RunRecord> = events
+            .iter()
+            .filter_map(|e| match e {
+                RunEvent::CellFinished { record, .. } => Some(record),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(streamed.len(), records.len());
+        assert!(streamed.iter().all(|r| records.contains(r)));
         // Bracketing events frame the sweep.
         assert!(matches!(
             events.first(),
@@ -1292,11 +1197,7 @@ mod tests {
             replayed.hits(),
             (solvers.len() * workloads().len() * 2) as u64
         );
-        for (a, b) in live.iter().zip(&resumed) {
-            assert_eq!(a.size, b.size);
-            assert_eq!(a.messages, b.messages);
-            assert_eq!(a.ratio_vs_lemma1, b.ratio_vs_lemma1);
-        }
+        assert_eq!(live, resumed);
     }
 
     #[test]

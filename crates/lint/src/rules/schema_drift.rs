@@ -14,11 +14,13 @@
 //! (`lint.schema` at the workspace root), keyed by schema version:
 //!
 //! ```text
-//! v4 manifest=… record=… bench=… trace=…
+//! v4 manifest=… record=… trace=…
 //! ```
 //!
 //! Changing a writer's literals without bumping `SCHEMA_VERSION` makes
-//! the current version's fingerprint mismatch → diagnostic. Bumping the
+//! the current version's fingerprint mismatch → diagnostic. Tokens of a
+//! retired writer (v4's `bench=`, whose lines readers now skip) stay in
+//! the file as history; only the current writers are looked up. Bumping the
 //! version makes the entry *missing* → diagnostic telling you to run
 //! `kw-lint --bless-schema`, which appends the new line (history stays;
 //! old versions' lines are never rewritten).
@@ -35,10 +37,9 @@ const STORE_FILE: &str = "crates/results/src/store.rs";
 pub const SCHEMA_FILE: &str = "lint.schema";
 
 /// The line-writer functions, with the short keys used in `lint.schema`.
-const WRITERS: [(&str, &str); 4] = [
+const WRITERS: [(&str, &str); 3] = [
     ("append_manifest", "manifest"),
     ("append_record", "record"),
-    ("append_bench", "bench"),
     ("append_trace", "trace"),
 ];
 
@@ -230,7 +231,6 @@ mod tests {
 pub const SCHEMA_VERSION: u64 = 4;
 fn append_manifest(w: &mut W) { w.field("v"); w.field("kind"); }
 fn append_record(w: &mut W) { w.field("v"); w.field("solver"); }
-fn append_bench(w: &mut W) { w.field("v"); w.field("bench"); }
 fn append_trace(w: &mut W) { w.field("v"); w.field("rounds"); }
 "#;
 
@@ -269,12 +269,12 @@ fn append_trace(w: &mut W) { w.field("v"); w.field("rounds"); }
     fn field_reordering_is_also_drift() {
         let line = blessed(STORE_SRC);
         let mutated = STORE_SRC.replace(
-            "w.field(\"v\"); w.field(\"bench\")",
-            "w.field(\"bench\"); w.field(\"v\")",
+            "w.field(\"v\"); w.field(\"rounds\")",
+            "w.field(\"rounds\"); w.field(\"v\")",
         );
         let d = check(&store_ws(&mutated, Some(&line)));
         assert_eq!(d.len(), 1, "{d:?}");
-        assert!(d[0].message.contains("append_bench"));
+        assert!(d[0].message.contains("append_trace"));
     }
 
     #[test]

@@ -170,7 +170,6 @@ mod tests {
             "pub const SCHEMA_VERSION: u64 = 4;\n\
              fn append_manifest(w: &mut W) { w.field(\"v\"); }\n\
              fn append_record(w: &mut W) { w.field(\"v\"); }\n\
-             fn append_bench(w: &mut W) { w.field(\"v\"); }\n\
              fn append_trace(w: &mut W) { w.field(\"v\"); }\n"
                 .to_string(),
         )]);

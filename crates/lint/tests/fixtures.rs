@@ -134,12 +134,12 @@ fn schema_drift_mutations_are_caught() {
 
     // Added field, no bump: also drift.
     let added = src.replace(
-        "w.field(\"best_ms\");",
-        "w.field(\"best_ms\");\n    w.field(\"p99_ms\");",
+        "w.field(\"phase_us\");",
+        "w.field(\"phase_us\");\n    w.field(\"samples\");",
     );
     let d = store_ws(&added, Some(blessed.clone())).run();
     assert_eq!(d.len(), 1, "{d:?}");
-    assert!(d[0].message.contains("append_bench"));
+    assert!(d[0].message.contains("append_trace"));
 
     // Version bumped: the old entry no longer applies; the rule asks
     // for a bless instead of reporting drift.

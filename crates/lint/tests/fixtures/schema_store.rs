@@ -1,4 +1,4 @@
-// Fixture: a miniature kw_results::store with the four line writers.
+// Fixture: a miniature kw_results::store with the three line writers.
 // Linted under crates/results/src/store.rs; the fixture test blesses
 // this shape, then mutates field literals and the version constant to
 // prove the drift rule notices each.
@@ -17,13 +17,6 @@ fn append_record(w: &mut Writer) {
     w.field("solver");
     w.field("seed");
     w.field("rounds");
-}
-
-fn append_bench(w: &mut Writer) {
-    w.field("v");
-    w.field("kind");
-    w.field("bench");
-    w.field("best_ms");
 }
 
 fn append_trace(w: &mut Writer) {

@@ -1,28 +1,26 @@
 //! Regression gate over run stores.
 //!
 //! ```text
-//! regress <baseline.jsonl> <candidate.jsonl> [--time-ratio R]
-//!         [--quality-ratio R] [--min-wall-ms X] [--phase-share-drift D]
+//! regress <baseline.jsonl> <candidate.jsonl> [--quality-ratio R]
 //! regress --validate <store.jsonl>
 //! ```
 //!
-//! Compares the candidate store's summary (plus bench lines and trace
-//! phase shares) against the baseline's; prints every finding and exits
-//! 1 if any, 0 when clean, 2 on usage or load errors. Every budget must
-//! be a finite number ≥ 0, and the two ratios must also be > 0:
-//! anything else is a usage error. `--validate` just schema-checks one
-//! store (CI uses it on the stores its smoke steps write, whose absolute
-//! timings are machine-dependent and therefore not gated).
+//! Compares the candidate store's summary against the baseline's:
+//! missing cells, new non-dominating runs, and mean set sizes grown
+//! beyond `R` × the baseline (default 1.02). Prints every finding and
+//! exits 1 if any, 0 when clean, 2 on usage or load errors. `R` must be
+//! a finite number > 0: anything else is a usage error. Wall time is
+//! not gated; the `kwperf` benchmark judges speed. `--validate` just
+//! schema-checks one store (CI uses it on the stores its smoke steps
+//! write).
 
-use kw_results::regress::{compare, compare_benches, compare_traces, RegressPolicy};
+use kw_results::regress::{compare, RegressPolicy};
 use kw_results::store::{load_path, StoreContents};
 use kw_results::summary::Summary;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: regress <baseline.jsonl> <candidate.jsonl> \
-         [--time-ratio R] [--quality-ratio R] [--min-wall-ms X] \
-         [--phase-share-drift D]\n\
+        "usage: regress <baseline.jsonl> <candidate.jsonl> [--quality-ratio R]\n\
          \x20      regress --validate <store.jsonl>"
     );
     std::process::exit(2);
@@ -45,13 +43,12 @@ fn load(path: &str) -> StoreContents {
     }
 }
 
-/// Parses a budget flag's value: a finite number ≥ 0, and > 0 for the
-/// two ratios. Every gate has the form `fresh > base * budget` or
-/// `drift > budget`, which is never true against NaN or infinity, so a
-/// non-finite budget would pass any candidate.
-fn budget(text: &str, ratio: bool) -> Option<f64> {
+/// Parses the quality ratio: a finite number > 0. The gate has the form
+/// `fresh > base * ratio`, which is never true against NaN or infinity,
+/// so a non-finite ratio would pass any candidate.
+fn ratio(text: &str) -> Option<f64> {
     let v: f64 = text.parse().ok()?;
-    (v.is_finite() && v >= 0.0 && !(ratio && v == 0.0)).then_some(v)
+    (v.is_finite() && v > 0.0).then_some(v)
 }
 
 fn main() {
@@ -60,11 +57,11 @@ fn main() {
         let [_, path] = args.as_slice() else { usage() };
         let contents = load(path);
         println!(
-            "{path}: valid ({} manifests, {} records, {} bench lines, {} trace lines{})",
+            "{path}: valid ({} manifests, {} records, {} trace lines, {} unknown-kind lines{})",
             contents.manifests.len(),
             contents.records.len(),
-            contents.benches.len(),
             contents.traces.len(),
+            contents.unknown_kinds,
             if contents.truncated_tail {
                 ", torn tail skipped"
             } else {
@@ -77,20 +74,13 @@ fn main() {
     let mut paths = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let (target, ratio) = match arg.as_str() {
-            "--time-ratio" => (&mut policy.max_time_ratio, true),
-            "--quality-ratio" => (&mut policy.max_quality_ratio, true),
-            "--min-wall-ms" => (&mut policy.min_wall_ms, false),
-            "--phase-share-drift" => (&mut policy.max_phase_share_drift, false),
+        match arg.as_str() {
+            "--quality-ratio" => match it.next().and_then(|v| ratio(v)) {
+                Some(v) => policy.max_quality_ratio = v,
+                None => usage(),
+            },
             _ if arg.starts_with("--") => usage(),
-            _ => {
-                paths.push(arg.clone());
-                continue;
-            }
-        };
-        match it.next().and_then(|v| budget(v, ratio)) {
-            Some(v) => *target = v,
-            None => usage(),
+            _ => paths.push(arg.clone()),
         }
     }
     let [baseline_path, candidate_path] = paths.as_slice() else {
@@ -98,24 +88,16 @@ fn main() {
     };
     let baseline = load(baseline_path);
     let candidate = load(candidate_path);
-    let mut findings = compare(
+    let findings = compare(
         &Summary::from_records(&baseline.records),
         &Summary::from_records(&candidate.records),
         &policy,
     );
-    findings.extend(compare_benches(
-        &baseline.benches,
-        &candidate.benches,
-        &policy,
-    ));
-    findings.extend(compare_traces(&baseline.traces, &candidate.traces, &policy));
     if findings.is_empty() {
         println!(
             "regress: OK — {candidate_path} holds the line against {baseline_path} \
-             (time budget {:.0}%, quality budget {:.0}%, phase-share budget {:.0}pp)",
-            (policy.max_time_ratio - 1.0) * 100.0,
+             (quality budget {:.0}%)",
             (policy.max_quality_ratio - 1.0) * 100.0,
-            policy.max_phase_share_drift * 100.0,
         );
         return;
     }

@@ -95,12 +95,9 @@ fn main() {
     assert_eq!(cache.hits(), total as u64);
     assert_eq!(cache.misses(), 0);
 
-    // Resumed results equal the originals bit for bit.
-    for (a, b) in out.cells.iter().zip(&out2.cells) {
-        assert_eq!(a.size, b.size, "{}/{}", a.solver, a.workload);
-        assert_eq!(a.messages, b.messages);
-        assert_eq!(a.ratio_vs_lemma1, b.ratio_vs_lemma1);
-    }
+    // Resumed records equal the originals bit for bit: a cache hit
+    // replays the original solve, wall time included.
+    assert_eq!(out.records, out2.records, "resumed records differ");
     println!(
         "pass 2: resumed with {}/{} cache hits, 0 solves — results identical",
         out2.cached, total

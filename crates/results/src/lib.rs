@@ -12,25 +12,22 @@
 //! * **Store** — [`store::RunStore`] is an append-only JSONL file with a
 //!   versioned schema ([`store::SCHEMA_VERSION`]) holding sweep
 //!   manifests (solver specs, workloads, seeds, fault plan, git
-//!   describe), per-cell run records, and bench measurements (load
-//!   percentiles from `kw-load` and `serve_smoke`).
+//!   describe), per-cell run records, and profiled-solve traces.
 //!   Appends are crash-safe (one flushed write per line; torn tails are
 //!   repaired on open) and stores replay into an [`ExperimentCache`], so
 //!   a killed sweep resumes by solving only its missing cells.
-//! * **Summaries** — [`summary::Summary`] rolls records up per cell and
-//!   per solver with mean/p50/p95 (quality stats exclude non-dominating
-//!   runs), rendering to markdown or CSV.
+//! * **Summaries** — [`summary::Summary`] is the one rollup of run
+//!   records, per cell and per solver with mean/p50/p95 (quality stats
+//!   exclude non-dominating runs), rendering to markdown or CSV.
 //! * **Regression gating** — [`regress::compare`] diffs a fresh summary
-//!   against a stored baseline and flags quality growth, new failures,
-//!   and ≥20% time regressions; `regress::compare_benches` does the same
-//!   for bench lines, and `regress::compare_traces` gates the *shape* of
-//!   profiles (per-phase share drift, matched by thread count). The
-//!   `regress` binary exits non-zero on findings, and `store_smoke` is
-//!   the CI end-to-end check (sweep → validate → resume → 100% cache
-//!   hits).
+//!   against a stored baseline and flags missing cells, new failures,
+//!   and set-size growth. It gates answers only: speed is judged by the
+//!   `kwperf` benchmark. The `regress` binary exits non-zero on
+//!   findings, and `store_smoke` is the CI end-to-end check (sweep →
+//!   validate → resume → 100% cache hits).
 //! * **Traces** — profiled solves ([`kw_trace`] spans through
 //!   `SolveContext::trace`) persist as `trace` store lines
-//!   ([`store::TraceRecord`]), which `regress::compare_traces` gates.
+//!   ([`store::TraceRecord`]).
 //!
 //! [`ExperimentRunner::run_matrix_streaming`]:
 //!     kw_core::solver::ExperimentRunner::run_matrix_streaming
@@ -48,11 +45,9 @@ pub mod store;
 pub mod summary;
 
 pub use pipeline::{stream_sweep, PipelineError, SweepOutcome, SweepSession};
-pub use regress::{compare, compare_benches, compare_traces, RegressPolicy, Regression};
+pub use regress::{compare, RegressPolicy, Regression};
 pub use render::Table;
-pub use store::{
-    load_path, BenchRecord, RunManifest, RunStore, StoreError, TraceRecord, SCHEMA_VERSION,
-};
+pub use store::{load_path, RunManifest, RunStore, StoreError, TraceRecord, SCHEMA_VERSION};
 pub use summary::{nearest_rank, CellRollup, Percentiles, SolverRollup, Summary};
 
 // The event types are defined next to the runner that emits them; this

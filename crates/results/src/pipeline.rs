@@ -18,7 +18,7 @@ use std::sync::mpsc::sync_channel;
 use kw_graph::CsrGraph;
 
 use kw_core::solver::{
-    CellSummary, DsSolver, ExperimentCache, ExperimentRunner, RunEvent, RunRecord, SolveError,
+    DsSolver, ExperimentCache, ExperimentRunner, RunEvent, RunRecord, SolveError,
 };
 
 use crate::store::{git_describe, RunManifest, RunStore, StoreError};
@@ -95,9 +95,9 @@ impl From<StoreError> for PipelineError {
 /// What a [`SweepSession::run`] call produced.
 #[derive(Debug)]
 pub struct SweepOutcome {
-    /// Aggregated cells, solver-major (the batch API's shape).
-    pub cells: Vec<CellSummary>,
-    /// Every run record of this sweep (fresh and cached), as streamed.
+    /// Every run record of this sweep (fresh and cached), solver-major,
+    /// then by workload, then by seed (the batch API's order). Roll them
+    /// up with [`Summary::from_records`](crate::summary::Summary::from_records).
     pub records: Vec<RunRecord>,
     /// Cells solved fresh this sweep.
     pub solved: u64,
@@ -115,7 +115,7 @@ pub struct SweepOutcome {
 
 /// Runs a streaming sweep, draining events on a consumer thread and
 /// handing each to `on_event` (in channel order). Returns the same
-/// summaries as [`ExperimentRunner::run_matrix`].
+/// records, in the same order, as [`ExperimentRunner::run_matrix`].
 ///
 /// The channel is bounded at [`EVENT_CHANNEL_BOUND`]; a slow `on_event`
 /// slows the sweep rather than ballooning memory.
@@ -125,7 +125,7 @@ pub fn stream_sweep<S: DsSolver>(
     workloads: &[(String, CsrGraph)],
     seeds: impl IntoIterator<Item = u64>,
     on_event: impl FnMut(&RunEvent) + Send,
-) -> Result<Vec<CellSummary>, SolveError> {
+) -> Result<Vec<RunRecord>, SolveError> {
     let seeds: Vec<u64> = seeds.into_iter().collect();
     let (tx, rx) = sync_channel::<RunEvent>(EVENT_CHANNEL_BOUND);
     std::thread::scope(|scope| {
@@ -163,9 +163,9 @@ pub fn stream_sweep<S: DsSolver>(
 ///     0..10,
 ///     |_event| {},
 /// )?;
+/// assert_eq!(out.records.len(), 10);
 /// // Re-running after a crash (or in a later process) solves nothing:
 /// // the store replays into the cache first.
-/// assert_eq!(out.cells.len(), 1);
 /// # Ok::<(), kw_results::pipeline::PipelineError>(())
 /// ```
 #[derive(Debug)]
@@ -264,18 +264,15 @@ impl SweepSession {
         })?;
         let runner = runner.clone().cache(self.cache.clone());
         let store = &self.store;
-        let mut records = Vec::new();
         let mut totals = (0u64, 0u64, 0u64);
         let mut write_err: Option<StoreError> = None;
-        let cells = stream_sweep(&runner, solvers, workloads, seeds, |ev| {
+        let records = stream_sweep(&runner, solvers, workloads, seeds, |ev| {
             match ev {
                 RunEvent::CellFinished { record, .. } => {
                     if let Err(e) = store.append_record(record) {
                         write_err.get_or_insert(e);
                     }
-                    records.push(record.clone());
                 }
-                RunEvent::CellCached { record, .. } => records.push(record.clone()),
                 RunEvent::SweepFinished {
                     solved,
                     cached,
@@ -286,7 +283,6 @@ impl SweepSession {
             progress(ev);
         })?;
         Ok(SweepOutcome {
-            cells,
             records,
             solved: totals.0,
             cached: totals.1,
@@ -309,7 +305,7 @@ mod tests {
         let workloads = vec![("grid4".to_string(), generators::grid(4, 4))];
         let runner = ExperimentRunner::new().workers(2);
         let mut terminal = 0usize;
-        let cells = stream_sweep(&runner, &solvers, &workloads, 0..5, |ev| {
+        let records = stream_sweep(&runner, &solvers, &workloads, 0..5, |ev| {
             if ev.is_terminal() {
                 terminal += 1;
             }
@@ -317,7 +313,17 @@ mod tests {
         .unwrap();
         assert_eq!(terminal, 5);
         let batch = runner.run_matrix(&solvers, &workloads, 0..5).unwrap();
-        assert_eq!(cells[0].size, batch[0].size);
-        assert_eq!(cells[0].messages, batch[0].messages);
+        // Everything but the wall time is deterministic.
+        let answers = |records: &[RunRecord]| -> Vec<RunRecord> {
+            records
+                .iter()
+                .map(|r| {
+                    let mut r = r.clone();
+                    r.outcome.wall_ms = 0.0;
+                    r
+                })
+                .collect()
+        };
+        assert_eq!(answers(&records), answers(&batch));
     }
 }

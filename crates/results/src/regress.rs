@@ -1,45 +1,28 @@
-//! Regression gating: diff a fresh [`Summary`] (or bench records)
-//! against a stored baseline and flag quality or time regressions.
+//! Regression gating: diff a fresh [`Summary`] against a stored
+//! baseline and flag answers that got worse — missing cells, new
+//! non-dominating runs, or grown set sizes.
 //!
-//! The policy is asymmetric on purpose: *quality* regressions use a
-//! tight relative tolerance (set sizes are deterministic given seeds, so
-//! any growth is a real algorithmic change), while *time* regressions
-//! use the classic ≥20% threshold with an absolute floor below which
-//! timer noise drowns the signal.
+//! Set sizes are deterministic given seeds, so any growth beyond a
+//! tight relative tolerance is a real algorithmic change. Wall time is
+//! not gated here: it is a measurement of one host, and the `kwperf`
+//! benchmark at the repository root is where speed is judged.
 
 use std::fmt;
 
-use crate::store::{BenchRecord, TraceRecord};
 use crate::summary::Summary;
 
-/// Thresholds for [`compare`] / [`compare_benches`] / [`compare_traces`].
+/// Thresholds for [`compare`].
 #[derive(Clone, Copy, Debug)]
 pub struct RegressPolicy {
-    /// A cell's mean wall time (or a bench's best-of-N) may grow to at
-    /// most `baseline × max_time_ratio` (default 1.2 — a 20% slowdown
-    /// fails).
-    pub max_time_ratio: f64,
     /// A cell's mean set size may grow to at most
     /// `baseline × max_quality_ratio` (default 1.02).
     pub max_quality_ratio: f64,
-    /// Baseline cells faster than this (ms) are exempt from the time
-    /// gate (default 0.05 ms — sub-tick noise).
-    pub min_wall_ms: f64,
-    /// A traced phase's share of phase time may drift from the baseline
-    /// by at most this, absolute (default 0.15 — compute going from 60%
-    /// to 80% of a solve fails). Shares are ratios, so this gate is
-    /// immune to the machine being uniformly faster or slower; it fires
-    /// only when the *shape* of where time goes changes.
-    pub max_phase_share_drift: f64,
 }
 
 impl Default for RegressPolicy {
     fn default() -> Self {
         RegressPolicy {
-            max_time_ratio: 1.2,
             max_quality_ratio: 1.02,
-            min_wall_ms: 0.05,
-            max_phase_share_drift: 0.15,
         }
     }
 }
@@ -69,54 +52,12 @@ pub enum Regression {
         /// Fresh failure count.
         fresh: usize,
     },
-    /// Mean wall time grew beyond the time threshold.
-    Time {
-        /// Solver spec of the regressing cell.
-        solver: String,
-        /// Workload label of the regressing cell.
-        workload: String,
-        /// Baseline mean wall time, ms.
-        baseline_ms: f64,
-        /// Fresh mean wall time, ms.
-        fresh_ms: f64,
-    },
     /// A baseline cell is absent from the fresh summary.
     MissingCell {
         /// Solver spec of the absent cell.
         solver: String,
         /// Workload label of the absent cell.
         workload: String,
-    },
-    /// A benchmark's best-of-N grew beyond the time threshold.
-    BenchTime {
-        /// Benchmark group.
-        bench: String,
-        /// Benchmark id.
-        id: String,
-        /// Baseline time, ms.
-        baseline_ms: f64,
-        /// Fresh time, ms.
-        fresh_ms: f64,
-    },
-    /// A baseline benchmark is absent from the fresh measurements.
-    MissingBench {
-        /// Benchmark group.
-        bench: String,
-        /// Benchmark id.
-        id: String,
-    },
-    /// A traced phase's share of phase time drifted beyond tolerance.
-    PhaseShare {
-        /// Solver spec of the drifting trace.
-        solver: String,
-        /// Workload label (with threads, e.g. `flood10k@4t`).
-        workload: String,
-        /// The drifting phase.
-        phase: String,
-        /// Baseline share of phase time, in [0, 1].
-        baseline: f64,
-        /// Fresh share of phase time, in [0, 1].
-        fresh: f64,
     },
 }
 
@@ -142,44 +83,12 @@ impl fmt::Display for Regression {
                 f,
                 "FAILURES {solver} on {workload}: non-dominating runs {baseline} -> {fresh}"
             ),
-            Regression::Time {
-                solver,
-                workload,
-                baseline_ms,
-                fresh_ms,
-            } => write!(
-                f,
-                "TIME     {solver} on {workload}: mean wall {baseline_ms:.3} ms -> {fresh_ms:.3} ms ({:.2}x)",
-                fresh_ms / baseline_ms
-            ),
             Regression::MissingCell { solver, workload } => {
-                write!(f, "MISSING  {solver} on {workload}: cell absent from fresh run")
+                write!(
+                    f,
+                    "MISSING  {solver} on {workload}: cell absent from fresh run"
+                )
             }
-            Regression::BenchTime {
-                bench,
-                id,
-                baseline_ms,
-                fresh_ms,
-            } => write!(
-                f,
-                "TIME     bench {bench}/{id}: {baseline_ms:.3} ms -> {fresh_ms:.3} ms ({:.2}x)",
-                fresh_ms / baseline_ms
-            ),
-            Regression::MissingBench { bench, id } => {
-                write!(f, "MISSING  bench {bench}/{id}: absent from fresh measurements")
-            }
-            Regression::PhaseShare {
-                solver,
-                workload,
-                phase,
-                baseline,
-                fresh,
-            } => write!(
-                f,
-                "PHASE    {solver} on {workload}: {phase} share {:.0}% -> {:.0}% of phase time",
-                100.0 * baseline,
-                100.0 * fresh
-            ),
         }
     }
 }
@@ -225,116 +134,6 @@ pub fn compare(baseline: &Summary, fresh: &Summary, policy: &RegressPolicy) -> V
                 fresh: new.size.mean,
             });
         }
-        if base.wall_ms.mean >= policy.min_wall_ms
-            && new.wall_ms.mean > base.wall_ms.mean * policy.max_time_ratio
-        {
-            findings.push(Regression::Time {
-                solver: base.solver.clone(),
-                workload: workload.clone(),
-                baseline_ms: base.wall_ms.mean,
-                fresh_ms: new.wall_ms.mean,
-            });
-        }
-    }
-    findings
-}
-
-/// Diffs fresh benchmark measurements against stored baselines, matched
-/// by `(bench, id)`. Duplicate fresh measurements keep the last (a
-/// re-run bench appends; the newest number is the current state).
-pub fn compare_benches(
-    baseline: &[BenchRecord],
-    fresh: &[BenchRecord],
-    policy: &RegressPolicy,
-) -> Vec<Regression> {
-    let latest = |records: &[BenchRecord], bench: &str, id: &str| -> Option<f64> {
-        records
-            .iter()
-            .rev()
-            .find(|r| r.bench == bench && r.id == id)
-            .map(|r| r.best_ms)
-    };
-    let mut findings = Vec::new();
-    let mut seen: Vec<(&str, &str)> = Vec::new();
-    for base in baseline {
-        let key = (base.bench.as_str(), base.id.as_str());
-        if seen.contains(&key) {
-            continue; // each (bench, id) compares once, latest vs latest
-        }
-        seen.push(key);
-        let base_ms = latest(baseline, &base.bench, &base.id).expect("key came from this slice");
-        match latest(fresh, &base.bench, &base.id) {
-            None => findings.push(Regression::MissingBench {
-                bench: base.bench.clone(),
-                id: base.id.clone(),
-            }),
-            Some(fresh_ms) => {
-                if base_ms >= policy.min_wall_ms && fresh_ms > base_ms * policy.max_time_ratio {
-                    findings.push(Regression::BenchTime {
-                        bench: base.bench.clone(),
-                        id: base.id.clone(),
-                        baseline_ms: base_ms,
-                        fresh_ms,
-                    });
-                }
-            }
-        }
-    }
-    findings
-}
-
-/// Diffs fresh trace rollups against stored baselines, matched by
-/// `(solver, workload, chaos, threads)` — a 4-thread profile is only
-/// ever compared against a 4-thread baseline, since phase shares shift
-/// legitimately with the worker count. Duplicates keep the last on both
-/// sides (re-profiles append). Missing traces are *not* findings: a
-/// profile run covers whatever matrix it chose that day, and phase-share
-/// drift is the only signal this gate exists for.
-pub fn compare_traces(
-    baseline: &[TraceRecord],
-    fresh: &[TraceRecord],
-    policy: &RegressPolicy,
-) -> Vec<Regression> {
-    let key = |t: &TraceRecord| {
-        (
-            t.solver.clone(),
-            t.workload.clone(),
-            t.chaos.clone(),
-            t.summary.threads,
-        )
-    };
-    let mut findings = Vec::new();
-    let mut seen = Vec::new();
-    for base in baseline.iter().rev() {
-        let k = key(base);
-        if seen.contains(&k) {
-            continue; // latest baseline per key wins
-        }
-        seen.push(k);
-        let Some(new) = fresh.iter().rev().find(|t| key(t) == key(base)) else {
-            continue;
-        };
-        for phase in kw_trace::PHASES {
-            let b = base.summary.phase_share(phase);
-            let f = new.summary.phase_share(phase);
-            if (f - b).abs() > policy.max_phase_share_drift {
-                let workload = if base.chaos.is_empty() {
-                    format!("{}@{}t", base.workload, base.summary.threads)
-                } else {
-                    format!(
-                        "{}@{}t (chaos:{})",
-                        base.workload, base.summary.threads, base.chaos
-                    )
-                };
-                findings.push(Regression::PhaseShare {
-                    solver: base.solver.clone(),
-                    workload,
-                    phase: phase.to_string(),
-                    baseline: b,
-                    fresh: f,
-                });
-            }
-        }
     }
     findings
 }
@@ -377,20 +176,9 @@ mod tests {
     fn identical_summaries_pass() {
         let base = summary(1.0, 1.0);
         assert!(compare(&base, &base, &RegressPolicy::default()).is_empty());
-    }
-
-    #[test]
-    fn injected_2x_slowdown_fails_the_time_gate() {
-        let base = summary(1.0, 1.0);
-        let slow = summary(1.0, 2.0);
-        let findings = compare(&base, &slow, &RegressPolicy::default());
-        assert_eq!(findings.len(), 2, "both cells slowed down 2x: {findings:?}");
-        assert!(findings
-            .iter()
-            .all(|r| matches!(r, Regression::Time { .. })));
-        // Within the 20% budget: no finding.
-        let ok = summary(1.0, 1.15);
-        assert!(compare(&base, &ok, &RegressPolicy::default()).is_empty());
+        // Wall time is a measurement, not an answer: it never gates.
+        let slow = summary(1.0, 10.0);
+        assert!(compare(&base, &slow, &RegressPolicy::default()).is_empty());
     }
 
     #[test]
@@ -450,112 +238,5 @@ mod tests {
             &findings[0],
             Regression::MissingCell { workload, .. } if workload == "grid (chaos:drop=0.2,seed=7)"
         ));
-    }
-
-    #[test]
-    fn sub_noise_cells_are_exempt_from_the_time_gate() {
-        let base = Summary::from_records(&[record("kw:k=2", "grid", 0, 10.0, 0.01)]);
-        let slow = Summary::from_records(&[record("kw:k=2", "grid", 0, 10.0, 0.04)]);
-        assert!(compare(&base, &slow, &RegressPolicy::default()).is_empty());
-    }
-
-    fn trace(threads: usize, scale: u64, barrier_us: u64) -> TraceRecord {
-        TraceRecord {
-            solver: "kw:k=2".into(),
-            workload: "flood10k".into(),
-            seed: 42,
-            chaos: String::new(),
-            summary: kw_trace::TraceSummary {
-                threads,
-                rounds: 10,
-                total_us: 1_000 * scale + barrier_us,
-                phase_us: vec![
-                    ("barrier".into(), barrier_us),
-                    ("compute".into(), 700 * scale),
-                    ("deliver".into(), 100 * scale),
-                    ("plan".into(), 50 * scale),
-                    ("send".into(), 150 * scale),
-                ],
-                barrier_us,
-                imbalance: 1.1,
-                pool_wakeups: 0,
-                pool_idle: 0,
-                structure_hash: 7,
-                samples: Vec::new(),
-            },
-        }
-    }
-
-    #[test]
-    fn phase_share_drift_gates_within_matching_thread_counts() {
-        // Baseline: compute dominates (700 of 1000 phase µs = 70%).
-        let base = vec![trace(4, 1, 0)];
-        // Same shape, uniformly 3x slower: shares unchanged, no finding.
-        let slower = vec![trace(4, 3, 0)];
-        assert!(compare_traces(&base, &slower, &RegressPolicy::default()).is_empty());
-        // Barrier grows from 0% to ~41% of phase time: flagged, and the
-        // compute share collapse is flagged alongside it.
-        let barrier_heavy = vec![trace(4, 1, 700)];
-        let findings = compare_traces(&base, &barrier_heavy, &RegressPolicy::default());
-        assert!(
-            findings.iter().any(|r| matches!(
-                r,
-                Regression::PhaseShare { phase, workload, .. }
-                    if phase == "barrier" && workload == "flood10k@4t"
-            )),
-            "{findings:?}"
-        );
-        // A 1-thread fresh trace never gates against the 4-thread base.
-        let other_threads = vec![trace(1, 1, 700)];
-        assert!(compare_traces(&base, &other_threads, &RegressPolicy::default()).is_empty());
-        // Missing fresh traces are not findings.
-        assert!(compare_traces(&base, &[], &RegressPolicy::default()).is_empty());
-        // Re-profiles append: the latest fresh trace is the one gated.
-        let appended = vec![trace(4, 1, 700), trace(4, 1, 0)];
-        assert!(compare_traces(&base, &appended, &RegressPolicy::default()).is_empty());
-    }
-
-    #[test]
-    fn bench_records_gate_on_time_and_presence() {
-        let base = vec![
-            BenchRecord {
-                bench: "engine_flood".into(),
-                id: "threads1/1000".into(),
-                best_ms: 1.0,
-            },
-            BenchRecord {
-                bench: "engine_ping".into(),
-                id: "threads1/1000".into(),
-                best_ms: 2.0,
-            },
-        ];
-        let fresh = vec![BenchRecord {
-            bench: "engine_flood".into(),
-            id: "threads1/1000".into(),
-            best_ms: 2.5,
-        }];
-        let findings = compare_benches(&base, &fresh, &RegressPolicy::default());
-        assert_eq!(findings.len(), 2);
-        assert!(findings
-            .iter()
-            .any(|r| matches!(r, Regression::BenchTime { .. })));
-        assert!(findings
-            .iter()
-            .any(|r| matches!(r, Regression::MissingBench { .. })));
-        // A re-run that appended a newer, faster measurement passes.
-        let appended = vec![
-            fresh[0].clone(),
-            BenchRecord {
-                bench: "engine_flood".into(),
-                id: "threads1/1000".into(),
-                best_ms: 0.9,
-            },
-            BenchRecord {
-                bench: "engine_ping".into(),
-                id: "threads1/1000".into(),
-                best_ms: 2.1,
-            },
-        ];
-        assert!(compare_benches(&base, &appended, &RegressPolicy::default()).is_empty());
     }
 }

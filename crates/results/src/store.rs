@@ -7,9 +7,6 @@
 //!   workload labels, seeds, and the chaos plan (canonical spec);
 //! * `record` — one per solved `(solver, workload, seed)` cell (a
 //!   serialized [`RunRecord`]);
-//! * `bench` — one named measurement (group, id, ms), so load runs
-//!   (`kw-load`, `serve_smoke`) share the same durable format as
-//!   experiments;
 //! * `trace` — one profiled solve's where-does-time-go rollup (a
 //!   [`kw_trace::TraceSummary`]: per-phase totals, fork/join barrier
 //!   time, worker imbalance, the structure fingerprint, and the full
@@ -57,6 +54,11 @@
 //! zero-pool), and trace lines gained `pool_wakeups`/`pool_idle` totals
 //! (absent reads as `0`).
 //!
+//! Stores up to v4 may also hold `bench` lines (load-test latency
+//! percentiles). Nothing writes or reads them any more: they take the
+//! unknown-kind path, skipped and counted in
+//! [`StoreContents::unknown_kinds`].
+//!
 //! [`ChaosPlan`]: kw_sim::ChaosPlan
 //!
 //! # Single writer
@@ -101,17 +103,6 @@ pub struct RunManifest {
     pub chaos: String,
 }
 
-/// One benchmark measurement in store form.
-#[derive(Clone, Debug, PartialEq)]
-pub struct BenchRecord {
-    /// Benchmark group (e.g. `"engine_flood"`).
-    pub bench: String,
-    /// Benchmark id within the group (e.g. `"threads1/10000"`).
-    pub id: String,
-    /// Best-of-N per-iteration time, milliseconds.
-    pub best_ms: f64,
-}
-
 /// One profiled solve's trace rollup in store form.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TraceRecord {
@@ -134,8 +125,6 @@ pub struct StoreContents {
     pub manifests: Vec<RunManifest>,
     /// Run records, in append order.
     pub records: Vec<RunRecord>,
-    /// Benchmark records, in append order.
-    pub benches: Vec<BenchRecord>,
     /// Trace records, in append order.
     pub traces: Vec<TraceRecord>,
     /// Lines of the current schema version whose kind this reader does
@@ -216,16 +205,18 @@ impl From<std::io::Error> for StoreError {
 /// # Example
 ///
 /// ```no_run
-/// use kw_results::store::{BenchRecord, RunStore};
+/// use kw_results::store::{RunManifest, RunStore};
 ///
 /// let store = RunStore::open("target/runs.jsonl")?;
-/// store.append_bench(&BenchRecord {
-///     bench: "engine_flood".into(),
-///     id: "threads1/1000".into(),
-///     best_ms: 0.85,
+/// store.append_manifest(&RunManifest {
+///     git: "unknown".into(),
+///     solvers: vec!["kw:k=2".into()],
+///     workloads: vec!["grid4".into()],
+///     seeds: vec![0, 1],
+///     chaos: String::new(),
 /// })?;
 /// let contents = store.load()?;
-/// assert_eq!(contents.benches.len(), 1);
+/// assert_eq!(contents.manifests.len(), 1);
 /// # Ok::<(), kw_results::store::StoreError>(())
 /// ```
 #[derive(Debug)]
@@ -447,17 +438,6 @@ impl RunStore {
         ]))
     }
 
-    /// Appends one benchmark measurement line.
-    pub fn append_bench(&self, b: &BenchRecord) -> Result<(), StoreError> {
-        self.append_line(&Json::obj([
-            ("v", Json::UInt(SCHEMA_VERSION)),
-            ("kind", Json::Str("bench".into())),
-            ("bench", Json::Str(b.bench.clone())),
-            ("id", Json::Str(b.id.clone())),
-            ("best_ms", Json::num(b.best_ms)),
-        ]))
-    }
-
     /// Appends one trace rollup line. Phase totals serialize as a
     /// label→µs object and the per-round counter series as fixed-shape
     /// eight-field rows (six structural counters plus the two pool
@@ -566,7 +546,6 @@ pub fn parse_store(text: &str) -> Result<StoreContents, StoreError> {
         match parse_line(line_no, line) {
             Ok(Line::Manifest(m)) => contents.manifests.push(m),
             Ok(Line::Record(r)) => contents.records.push(r),
-            Ok(Line::Bench(b)) => contents.benches.push(b),
             Ok(Line::Trace(t)) => contents.traces.push(*t),
             Ok(Line::Unknown) => contents.unknown_kinds += 1,
             Err(e @ StoreError::UnsupportedSchema { .. }) => return Err(e),
@@ -586,7 +565,6 @@ pub fn parse_store(text: &str) -> Result<StoreContents, StoreError> {
 enum Line {
     Manifest(RunManifest),
     Record(RunRecord),
-    Bench(BenchRecord),
     // Boxed: a trace line carries a full counter series and would
     // otherwise dominate the enum's size.
     Trace(Box<TraceRecord>),
@@ -694,11 +672,6 @@ fn parse_line(line_no: usize, line: &str) -> Result<Line, StoreError> {
                 ratio_vs_lemma1: f64_field("ratio_vs_lemma1")?,
                 wall_ms: f64_field("wall_ms")?,
             },
-        })),
-        "bench" => Ok(Line::Bench(BenchRecord {
-            bench: str_field("bench")?,
-            id: str_field("id")?,
-            best_ms: f64_field("best_ms")?,
         })),
         "trace" => {
             let phase_us = match v.get("phase_us") {
@@ -835,16 +808,9 @@ mod tests {
         for r in &records {
             store.append_record(r).unwrap();
         }
-        let bench = BenchRecord {
-            bench: "engine_flood".into(),
-            id: "threads1/1000".into(),
-            best_ms: 0.849,
-        };
-        store.append_bench(&bench).unwrap();
         let contents = store.load().unwrap();
         assert_eq!(contents.manifests, vec![manifest]);
         assert_eq!(contents.records, records);
-        assert_eq!(contents.benches, vec![bench]);
         assert!(!contents.truncated_tail);
         assert_eq!(contents.unknown_kinds, 0);
         std::fs::remove_file(&path).unwrap();
@@ -898,13 +864,7 @@ mod tests {
             store.append_trace(t).unwrap();
         }
         // A trace line must not bleed into the other collections.
-        store
-            .append_bench(&BenchRecord {
-                bench: "engine_flood".into(),
-                id: "threads1/1000".into(),
-                best_ms: 0.9,
-            })
-            .unwrap();
+        store.append_record(&sample_record(0)).unwrap();
         let contents = store.load().unwrap();
         assert_eq!(contents.traces, traces);
         // RoundSample equality deliberately ignores the pool diagnostics,
@@ -917,8 +877,8 @@ mod tests {
                 assert_eq!(a.pool_idle, b.pool_idle);
             }
         }
-        assert_eq!(contents.benches.len(), 1);
-        assert_eq!(contents.records.len(), 0);
+        assert_eq!(contents.records, vec![sample_record(0)]);
+        assert_eq!(contents.manifests.len(), 0);
         assert_eq!(contents.unknown_kinds, 0);
         // One line per trace, no matter how long the counter series is.
         let text = std::fs::read_to_string(&path).unwrap();
@@ -993,9 +953,9 @@ mod tests {
 
     #[test]
     fn midfile_corruption_is_an_error_not_a_skip() {
-        let text = "{\"v\":1,\"kind\":\"bench\",\"bench\":\"b\",\"id\":\"i\",\"best_ms\":1}\n\
+        let text = "{\"v\":1,\"kind\":\"novelty\",\"payload\":1}\n\
                     not json at all\n\
-                    {\"v\":1,\"kind\":\"bench\",\"bench\":\"b\",\"id\":\"j\",\"best_ms\":2}\n";
+                    {\"v\":1,\"kind\":\"novelty\",\"payload\":2}\n";
         match parse_store(text) {
             Err(StoreError::Corrupt { line: 2, .. }) => {}
             other => panic!("expected Corrupt at line 2, got {other:?}"),
@@ -1005,7 +965,10 @@ mod tests {
     #[test]
     fn newer_schema_versions_are_rejected() {
         let text = format!(
-            "{{\"v\":{},\"kind\":\"bench\",\"bench\":\"b\",\"id\":\"i\",\"best_ms\":1}}\n",
+            "{{\"v\":{},\"kind\":\"record\",\"solver\":\"kw:k=2\",\"workload\":\"grid4\",\
+             \"n\":16,\"max_degree\":4,\"seed\":0,\"chaos\":\"\",\"threads\":1,\
+             \"dominates\":true,\"size\":4,\"rounds\":18,\"messages\":10,\"bits\":20,\
+             \"ratio_vs_lemma1\":1.5,\"wall_ms\":0.5}}\n",
             SCHEMA_VERSION + 1
         );
         assert!(matches!(
@@ -1016,11 +979,12 @@ mod tests {
 
     #[test]
     fn unknown_kinds_of_current_version_are_skipped_and_counted() {
+        // A kind no reader knows, and a retired v4 `bench` line.
         let text = "{\"v\":1,\"kind\":\"novelty\",\"payload\":[1,2,3]}\n\
-                    {\"v\":1,\"kind\":\"bench\",\"bench\":\"b\",\"id\":\"i\",\"best_ms\":1}\n";
+                    {\"v\":4,\"kind\":\"bench\",\"bench\":\"serve_load\",\
+                    \"id\":\"smoke/c4/p50\",\"best_ms\":1.5}\n";
         let contents = parse_store(text).unwrap();
-        assert_eq!(contents.unknown_kinds, 1);
-        assert_eq!(contents.benches.len(), 1);
+        assert_eq!(contents.unknown_kinds, 2);
     }
 
     #[test]

@@ -1,17 +1,15 @@
 //! Rollups of run records: per-cell and per-solver statistics with
 //! mean/p50/p95, rendered to markdown or CSV.
 //!
-//! A [`Summary`] is built from [`RunRecord`]s — live ones collected from
-//! a streaming sweep or persisted ones loaded from a [`RunStore`] — and
+//! A [`Summary`] is the one rollup of [`RunRecord`]s — live ones returned
+//! by a sweep or persisted ones loaded from a [`RunStore`] — and
 //! aggregates each `(solver, workload)` cell over its seeds, plus each
 //! solver over all its cells. Quality statistics (size, rounds,
 //! messages, bits, ratio-vs-Lemma-1) exclude non-dominating runs, which
-//! are counted as `failures` instead — the same convention
-//! [`CellSummary`] uses; wall-time statistics include every run (cost is
-//! cost, dominated or not).
+//! are counted as `failures` instead; wall-time statistics include every
+//! run (cost is cost, dominated or not).
 //!
 //! [`RunStore`]: crate::store::RunStore
-//! [`CellSummary`]: kw_core::solver::CellSummary
 
 use std::fmt::Write as _;
 
@@ -143,8 +141,15 @@ pub struct Summary {
 }
 
 impl Summary {
-    /// Aggregates `records`. Order-insensitive: any permutation of the
-    /// same records yields the identical summary.
+    /// Aggregates `records`, one run per cache key `(solver, workload,
+    /// seed, chaos, threads)`: when a key repeats (two concurrent
+    /// `kw-serve` misses on one cold cell both solve and append), the
+    /// last record in input order counts, as in
+    /// [`ExperimentCache::insert_record`] replay. Otherwise
+    /// order-insensitive: any permutation of records with distinct keys
+    /// yields the identical summary.
+    ///
+    /// [`ExperimentCache::insert_record`]: kw_core::solver::ExperimentCache::insert_record
     pub fn from_records(records: &[RunRecord]) -> Self {
         #[derive(Default)]
         struct Acc {
@@ -179,18 +184,15 @@ impl Summary {
         let mut cells: std::collections::BTreeMap<(String, String, String), Acc> =
             Default::default();
         let mut solvers: std::collections::BTreeMap<String, Acc> = Default::default();
-        // Seeds sort runs deterministically inside each accumulator, so
-        // percentile input order never depends on worker scheduling.
-        let mut sorted: Vec<&RunRecord> = records.iter().collect();
-        sorted.sort_by(|a, b| {
-            (&a.solver, &a.workload, &a.chaos, a.seed).cmp(&(
-                &b.solver,
-                &b.workload,
-                &b.chaos,
-                b.seed,
-            ))
-        });
-        for r in sorted {
+        // Keyed runs, last record per key; the key order sorts runs by
+        // seed inside each accumulator, so percentile input order never
+        // depends on worker scheduling.
+        let mut runs: std::collections::BTreeMap<(&str, &str, &str, u64, usize), &RunRecord> =
+            Default::default();
+        for r in records {
+            runs.insert((&r.solver, &r.workload, &r.chaos, r.seed, r.threads), r);
+        }
+        for r in runs.into_values() {
             cells
                 .entry((r.workload.clone(), r.chaos.clone(), r.solver.clone()))
                 .or_default()
@@ -468,6 +470,28 @@ mod tests {
             order,
             vec![("grid", "greedy"), ("grid", "kw:k=2"), ("udg", "kw:k=2")]
         );
+    }
+
+    /// A cell whose store holds two lines (two racing serve misses on a
+    /// cold cell) is still one run: the duplicate must not double the
+    /// failure count and trip `regress`.
+    #[test]
+    fn duplicate_lines_of_one_cell_count_once() {
+        use crate::regress::{compare, RegressPolicy};
+        let lossy = record("kw:k=2", "grid", 0, 9.0, false);
+        let once = Summary::from_records(std::slice::from_ref(&lossy));
+        let twice = Summary::from_records(&[lossy.clone(), lossy]);
+        let cell = twice.cell("kw:k=2", "grid").unwrap();
+        assert_eq!((cell.runs, cell.failures), (1, 1));
+        assert_eq!(twice.solvers[0].runs, 1);
+        assert!(compare(&once, &twice, &RegressPolicy::default()).is_empty());
+        // The last line of a key wins.
+        let mut first = record("kw:k=2", "grid", 0, 9.0, true);
+        first.outcome.wall_ms = 1.0;
+        let mut last = first.clone();
+        last.outcome.wall_ms = 3.0;
+        let s = Summary::from_records(&[first, last]);
+        assert_eq!(s.cells[0].wall_ms.mean, 3.0);
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! The `regress` binary's budget flags: every gate tests
-//! `fresh > base * budget` or `drift > budget`, which is never true
-//! against NaN or infinity, so a non-finite budget would wave through any
-//! candidate. Such budgets (and negative ones, and zero ratios) must be
-//! usage errors (exit 2), while finite budgets keep gating.
+//! The `regress` binary's one budget flag, `--quality-ratio`: the gate
+//! tests `fresh > base * ratio`, which is never true against NaN or
+//! infinity, so a non-finite ratio would wave through any candidate.
+//! Such ratios (and negative and zero ones) must be usage errors
+//! (exit 2), while finite ratios keep gating.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -20,9 +20,9 @@ fn temp_store(tag: &str) -> PathBuf {
     path
 }
 
-/// Writes a store of two cells × three seeds whose set sizes and wall
-/// times are scaled by `size_scale` and `time_scale`.
-fn write_store(path: &Path, size_scale: f64, time_scale: f64) {
+/// Writes a store of two cells × three seeds whose set sizes are scaled
+/// by `size_scale`.
+fn write_store(path: &Path, size_scale: f64) {
     let store = RunStore::open(path).expect("store opens");
     for solver in ["kw:k=2", "greedy"] {
         for seed in 0..3 {
@@ -43,7 +43,7 @@ fn write_store(path: &Path, size_scale: f64, time_scale: f64) {
                         messages: 500.0,
                         bits: 4000.0,
                         ratio_vs_lemma1: size / 7.0,
-                        wall_ms: 2.0 * time_scale,
+                        wall_ms: 2.0,
                     },
                 })
                 .expect("record appends");
@@ -68,22 +68,20 @@ fn regress(base: &Path, candidate: &Path, flags: &[&str]) -> i32 {
 fn only_finite_non_negative_budgets_and_positive_ratios_are_accepted() {
     let base = temp_store("base");
     let worse = temp_store("worse");
-    write_store(&base, 1.0, 1.0);
-    // 3x the set sizes and 10x the wall times: every gate should fire.
-    write_store(&worse, 3.0, 10.0);
-    assert_eq!(regress(&base, &worse, &[]), 1, "default budgets fail it");
+    write_store(&base, 1.0);
+    // 3x the set sizes: the quality gate should fire.
+    write_store(&worse, 3.0);
+    assert_eq!(regress(&base, &worse, &[]), 1, "default budget fails it");
     for flags in [
-        &["--time-ratio", "nan", "--quality-ratio", "nan"][..],
-        &["--time-ratio", "inf"],
+        &["--quality-ratio", "nan"][..],
         &["--quality-ratio", "infinity"],
-        &["--time-ratio", "-inf"],
-        &["--min-wall-ms", "inf"],
-        &["--min-wall-ms", "NaN"],
-        &["--phase-share-drift", "nan"],
-        &["--phase-share-drift", "-0.1"],
-        &["--time-ratio", "-2"],
-        &["--time-ratio", "0"],
+        &["--quality-ratio", "-inf"],
+        &["--quality-ratio", "-2"],
         &["--quality-ratio", "0"],
+        &["--quality-ratio"],
+        // Time is not gated here, so the retired time flags are unknown.
+        &["--time-ratio", "20"],
+        &["--min-wall-ms", "0"],
     ] {
         assert_eq!(
             regress(&base, &worse, flags),
@@ -91,13 +89,11 @@ fn only_finite_non_negative_budgets_and_positive_ratios_are_accepted() {
             "{flags:?} must be a usage error"
         );
     }
-    // Finite budgets keep gating: wide enough for 3x sizes and 10x times
-    // passes the candidate, loosening only the time budget still trips
-    // the quality gate, and a zero absolute budget is a legal setting.
-    let wide = ["--time-ratio", "20", "--quality-ratio", "5"];
-    assert_eq!(regress(&base, &worse, &wide), 0);
-    assert_eq!(regress(&base, &worse, &["--time-ratio", "20"]), 1);
-    assert_eq!(regress(&base, &base, &["--min-wall-ms", "0"]), 0);
+    // Finite ratios keep gating: wide enough for 3x sizes passes the
+    // candidate, and a narrower one still trips the quality gate.
+    assert_eq!(regress(&base, &worse, &["--quality-ratio", "5"]), 0);
+    assert_eq!(regress(&base, &worse, &["--quality-ratio", "2"]), 1);
+    assert_eq!(regress(&base, &base, &[]), 0);
     let _ = std::fs::remove_file(&base);
     let _ = std::fs::remove_file(&worse);
 }

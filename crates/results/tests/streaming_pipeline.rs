@@ -1,14 +1,14 @@
 //! End-to-end acceptance of the streaming results pipeline: a
 //! killed-then-resumed sweep re-executes only its missing cells (with
-//! hit/miss counts reported via `RunEvent`s), and the regression gate
-//! fails on an injected 2× slowdown against a stored baseline.
+//! hit/miss counts reported via `RunEvent`s), stale stores are refused,
+//! and stores holding retired line kinds still replay and validate.
 
 use std::path::PathBuf;
+use std::process::Command;
 
 use kw_core::solver::{ExperimentRunner, RunEvent, SolverRegistry};
 use kw_graph::generators;
 use kw_results::pipeline::{PipelineError, SweepSession};
-use kw_results::regress::{compare, RegressPolicy, Regression};
 use kw_results::store::RunStore;
 use kw_results::summary::Summary;
 use kw_results::RunRecord;
@@ -54,6 +54,7 @@ fn killed_then_resumed_sweep_reexecutes_only_missing_cells() {
     truncated.push('\n');
     truncated.push_str("{\"v\":1,\"kind\":\"record\",\"solver\":\"kw:k=2\",\"work");
     std::fs::write(&path, &truncated).unwrap();
+    let survivors = kw_results::store::load_path(&path).unwrap().records;
 
     // Resume: only the 7 missing cells may solve.
     let mut resumed = SweepSession::open(&path).unwrap();
@@ -73,16 +74,18 @@ fn killed_then_resumed_sweep_reexecutes_only_missing_cells() {
     assert_eq!(resumed.cache().misses(), 7);
 
     // The resumed sweep's results are bit-identical to the uninterrupted
-    // run's — replayed cells carry the original outcomes.
-    for (a, b) in full.cells.iter().zip(&out.cells) {
-        assert_eq!(
-            (a.solver.as_str(), a.workload.as_str()),
-            (b.solver.as_str(), b.workload.as_str())
-        );
-        assert_eq!(a.size, b.size);
-        assert_eq!(a.messages, b.messages);
-        assert_eq!(a.ratio_vs_lemma1, b.ratio_vs_lemma1);
+    // run's — replayed cells carry the original outcomes, wall time
+    // included, and re-solved cells differ at most in wall time.
+    let answer = |r: &RunRecord| {
+        let mut r = r.clone();
+        r.outcome.wall_ms = 0.0;
+        r
+    };
+    assert_eq!(full.records.len(), out.records.len());
+    for (a, b) in full.records.iter().zip(&out.records) {
+        assert_eq!(answer(a), answer(b));
     }
+    assert!(survivors.iter().all(|r| out.records.contains(r)));
 
     // The store is whole again: 12 records, no torn tail, and a third
     // session replays all of them (nothing left to solve).
@@ -98,65 +101,6 @@ fn killed_then_resumed_sweep_reexecutes_only_missing_cells() {
         .unwrap();
     assert_eq!((replay.solved, replay.cached), (0, total as u64));
     std::fs::remove_file(&path).unwrap();
-}
-
-#[test]
-fn regress_gate_fails_on_injected_2x_slowdown_against_stored_baseline() {
-    let baseline_path = temp_store("baseline");
-    let registry = SolverRegistry::with_core_solvers();
-    let solvers = registry.build_all(["kw:k=2"]).unwrap();
-    let runner = ExperimentRunner::new();
-
-    // Store a baseline the way any sweep would.
-    let mut session = SweepSession::open(&baseline_path).unwrap();
-    let out = session
-        .run(&runner, &solvers, &workloads(), 0..4, |_| {})
-        .unwrap();
-    drop(session);
-    let baseline = RunStore::open(&baseline_path).unwrap().load().unwrap();
-    assert_eq!(baseline.records.len(), out.records.len());
-
-    // A fresh run with identical quality and timing passes the gate.
-    let base_summary = Summary::from_records(&baseline.records);
-    assert!(compare(&base_summary, &base_summary, &RegressPolicy::default()).is_empty());
-
-    // Inject a 2× slowdown into otherwise identical records: the gate
-    // must fail (exit non-zero in the `regress` binary, which forwards
-    // `compare`'s findings).
-    let slowed: Vec<RunRecord> = baseline
-        .records
-        .iter()
-        .map(|r| {
-            let mut r = r.clone();
-            r.outcome.wall_ms *= 2.0;
-            // Keep every cell above the noise floor so the gate judges
-            // the ratio, not the absolute magnitude.
-            r.outcome.wall_ms += 1.0;
-            r
-        })
-        .collect();
-    let base_above_noise: Vec<RunRecord> = baseline
-        .records
-        .iter()
-        .map(|r| {
-            let mut r = r.clone();
-            r.outcome.wall_ms += 0.5;
-            r
-        })
-        .collect();
-    let findings = compare(
-        &Summary::from_records(&base_above_noise),
-        &Summary::from_records(&slowed),
-        &RegressPolicy::default(),
-    );
-    assert!(
-        !findings.is_empty(),
-        "2x slowdown must trip the >=20% time gate"
-    );
-    assert!(findings
-        .iter()
-        .all(|f| matches!(f, Regression::Time { .. })));
-    std::fs::remove_file(&baseline_path).unwrap();
 }
 
 #[test]
@@ -228,5 +172,55 @@ fn summary_of_a_loaded_store_renders_and_rolls_up() {
     assert_eq!(md.lines().count(), 2 + 4);
     let csv = summary.to_csv();
     assert_eq!(csv.lines().count(), 1 + 4);
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// Stores written while `bench` lines existed still load: those lines
+/// are skipped and counted as unknown kinds, every record replays, and
+/// `regress --validate` accepts the store and reports the skipped count.
+#[test]
+fn stores_with_legacy_bench_lines_replay_and_validate() {
+    let path = temp_store("legacy_bench");
+    let registry = SolverRegistry::with_core_solvers();
+    let solvers = registry.build_all(["kw:k=2"]).unwrap();
+    let runner = ExperimentRunner::new();
+    let mut session = SweepSession::open(&path).unwrap();
+    let out = session
+        .run(&runner, &solvers, &workloads(), 0..2, |_| {})
+        .unwrap();
+    drop(session);
+
+    // A v4 `bench` line after every record line.
+    let bench = "{\"v\":4,\"kind\":\"bench\",\"bench\":\"serve_load\",\
+                 \"id\":\"smoke/c4/p50\",\"best_ms\":1.5}";
+    let mut mixed = String::new();
+    for line in std::fs::read_to_string(&path).unwrap().lines() {
+        mixed.push_str(line);
+        mixed.push('\n');
+        if line.contains("\"kind\":\"record\"") {
+            mixed.push_str(bench);
+            mixed.push('\n');
+        }
+    }
+    std::fs::write(&path, mixed).unwrap();
+
+    let mut resumed = SweepSession::open(&path).unwrap();
+    assert_eq!(resumed.replayed(), out.records.len());
+    let again = resumed
+        .run(&runner, &solvers, &workloads(), 0..2, |_| {})
+        .unwrap();
+    assert_eq!(again.solved, 0);
+    assert_eq!(again.records, out.records, "hits replay the originals");
+    drop(resumed);
+
+    let validate = Command::new(env!("CARGO_BIN_EXE_regress"))
+        .arg("--validate")
+        .arg(&path)
+        .output()
+        .expect("regress runs");
+    let stdout = String::from_utf8_lossy(&validate.stdout);
+    assert_eq!(validate.status.code(), Some(0), "{stdout}");
+    let skipped = format!("{} unknown-kind lines", out.records.len());
+    assert!(stdout.contains(&skipped), "{stdout}");
     std::fs::remove_file(&path).unwrap();
 }

@@ -5,17 +5,15 @@
 //!         [--requests N] [--timeout-ms N]
 //! ```
 //!
-//! Replays the named request mix at the target concurrency, prints
-//! req/s and latency percentiles, and — when `KW_BENCH_STORE` is set —
-//! appends the percentiles as bench lines so `regress` can gate serving
-//! latency against a stored baseline.
+//! Replays the named request mix at the target concurrency and prints
+//! req/s and latency percentiles.
 
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::process::ExitCode;
 use std::time::Duration;
 
 use kw_bench::mix;
-use kw_serve::{append_bench_records, run_load};
+use kw_serve::run_load;
 
 fn usage() -> ! {
     eprintln!(
@@ -73,17 +71,6 @@ fn main() -> ExitCode {
 
     let report = run_load(addr, &mix_name, &entries, concurrency, requests, timeout);
     println!("{}", report.render());
-
-    if let Some(path) = std::env::var_os("KW_BENCH_STORE") {
-        let path = std::path::PathBuf::from(path);
-        match append_bench_records(&path, &report) {
-            Ok(()) => println!("appended latency baselines to {}", path.display()),
-            Err(e) => {
-                eprintln!("kw-load: failed to append to bench store: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
 
     if report.transport_errors > 0 || report.completed == 0 {
         eprintln!(

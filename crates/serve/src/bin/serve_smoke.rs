@@ -9,9 +9,7 @@
 //! 4. POST `/shutdown` and drain — the SIGTERM path;
 //! 5. restart a daemon on the *same* store and assert it warmed every
 //!    answer: a repeated request must report `"cached": true` without
-//!    any new cache miss;
-//! 6. append the load report to `KW_BENCH_STORE` (when set) so the CI
-//!    job can `regress --validate` the produced baselines.
+//!    any new cache miss.
 //!
 //! Exits non-zero with a message on the first violated expectation.
 
@@ -20,7 +18,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use kw_bench::mix;
-use kw_serve::{append_bench_records, http_request, run_load, ServeConfig, Server};
+use kw_serve::{http_request, run_load, ServeConfig, Server};
 
 const TIMEOUT: Duration = Duration::from_secs(30);
 
@@ -157,13 +155,6 @@ fn smoke() -> Result<(), String> {
     )?;
     server.shutdown();
     println!("pass 2 ok: warm restart served from store");
-
-    // --- bench baselines -----------------------------------------------------
-    if let Some(path) = std::env::var_os("KW_BENCH_STORE") {
-        let path = PathBuf::from(path);
-        append_bench_records(&path, &report).map_err(|e| format!("bench store: {e}"))?;
-        println!("latency baselines appended to {}", path.display());
-    }
 
     if !keep_store {
         let _ = std::fs::remove_file(&store);

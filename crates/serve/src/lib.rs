@@ -16,8 +16,7 @@
 //! * [`telemetry`] — Prometheus-text counters and a fixed-bucket
 //!   latency histogram whose percentiles share
 //!   [`kw_results::nearest_rank`] with the sweep summaries;
-//! * [`load`] — the blocking client, the load generator, and the
-//!   `KW_BENCH_STORE` bridge that lets `regress` gate serving latency.
+//! * [`load`] — the blocking client and the load generator.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,7 +28,7 @@ pub mod service;
 pub mod telemetry;
 
 pub use http::{parse_request, HttpViolation, Request, Response};
-pub use load::{append_bench_records, http_request, run_load, ClientResponse, LoadReport};
+pub use load::{http_request, run_load, ClientResponse, LoadReport};
 pub use server::{ServeConfig, Server};
 pub use service::{ServeError, SolveService};
 pub use telemetry::{LatencyHistogram, Telemetry};

@@ -5,9 +5,7 @@
 //! target concurrency and reports throughput and latency percentiles —
 //! computed with the same [`kw_results::Percentiles`] rollup the sweep
 //! pipeline uses, so a load report and a `/metrics` scrape speak the
-//! same nearest-rank language. [`append_bench_records`] persists the
-//! numbers under the `KW_BENCH_STORE` convention so `regress` gates
-//! serving latency exactly like micro-benchmarks.
+//! same nearest-rank language.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -16,7 +14,6 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use kw_bench::mix::MixEntry;
-use kw_results::store::{BenchRecord, RunStore, StoreError};
 use kw_results::Percentiles;
 
 /// A response as the minimal client sees it.
@@ -275,26 +272,4 @@ fn json_string(s: &str) -> String {
     }
     out.push('"');
     out
-}
-
-/// Appends a load report to the bench store at `path` under the
-/// `KW_BENCH_STORE` convention: bench `serve_load`, ids
-/// `<mix>/c<concurrency>/{p50,p95,p99,mean}`, values in milliseconds
-/// (lower is better, exactly what `regress` expects).
-pub fn append_bench_records(path: &std::path::Path, report: &LoadReport) -> Result<(), StoreError> {
-    let store = RunStore::open(path)?;
-    let prefix = format!("{}/c{}", report.mix, report.concurrency);
-    for (stat, value) in [
-        ("p50", report.latency_ms.p50),
-        ("p95", report.latency_ms.p95),
-        ("p99", report.latency_ms.p99),
-        ("mean", report.latency_ms.mean),
-    ] {
-        store.append_bench(&BenchRecord {
-            bench: "serve_load".to_string(),
-            id: format!("{prefix}/{stat}"),
-            best_ms: value,
-        })?;
-    }
-    Ok(())
 }

@@ -123,9 +123,10 @@ pub struct NodeInfo {
 
 /// Engine tuning knobs.
 ///
-/// The defaults run sequentially with a generous round budget; experiments
-/// enable `threads` for large graphs and `record_per_round` when they need
-/// round-resolved traffic curves.
+/// The defaults run sequentially with a generous round budget; callers
+/// set `threads` for large graphs. Round-resolved traffic comes from a
+/// [`kw_trace::Tracer`], whose per-round samples carry each round's
+/// messages and bits.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
     /// Abort with [`SimError::MaxRoundsExceeded`] after this many rounds.
@@ -136,8 +137,6 @@ pub struct EngineConfig {
     /// each node's inbox, and send staging (`<= 1` means sequential).
     /// Results are identical for any thread count.
     pub threads: usize,
-    /// Record per-round [`RoundMetrics`] in the final [`RunMetrics`].
-    pub record_per_round: bool,
     /// Verify that every sent message decodes from its own wire encoding
     /// (a cheap safety net, off by default; conformance tests turn it on).
     pub check_wire: bool,
@@ -152,7 +151,6 @@ impl Default for EngineConfig {
             max_rounds: 1_000_000,
             seed: 0,
             threads: 1,
-            record_per_round: false,
             check_wire: false,
             faults: ChaosPlan::reliable(),
         }
@@ -647,9 +645,6 @@ impl<'g, P: Protocol> Engine<'g, P> {
             metrics.bits += out.stats.bits;
             metrics.byz_rejected += out.byz_rejected;
             metrics.max_message_bits = metrics.max_message_bits.max(out.max_message_bits);
-            if self.config.record_per_round {
-                metrics.per_round.push(out.stats);
-            }
             self.staged_senders = out.staged;
             if trace {
                 let active = self.halted.iter().filter(|h| !**h).count() as u64;
@@ -1537,24 +1532,32 @@ mod tests {
         assert!(report.metrics.max_message_bits > 0);
     }
 
+    /// A traced run samples every round, and the samples' traffic sums
+    /// to the run totals at any thread count.
     #[test]
-    fn per_round_metrics_recorded_when_enabled() {
-        let g = generators::cycle(4);
-        let config = EngineConfig {
-            record_per_round: true,
-            ..Default::default()
-        };
-        let report = flood_report(&g, 2, config);
-        assert_eq!(report.metrics.per_round.len(), report.metrics.rounds);
-        assert_eq!(
-            report
-                .metrics
-                .per_round
-                .iter()
-                .map(|r| r.messages)
-                .sum::<u64>(),
-            report.metrics.messages
-        );
+    fn trace_samples_sum_to_run_metrics() {
+        let mut rng = <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(5);
+        let g = generators::gnp(80, 0.08, &mut rng);
+        for threads in [1usize, 4] {
+            kw_trace::install(kw_trace::Tracer::new());
+            let report = flood_report(
+                &g,
+                3,
+                EngineConfig {
+                    threads,
+                    ..Default::default()
+                },
+            );
+            let mut t = kw_trace::take().expect("tracer still installed");
+            t.finish();
+            let samples = t.samples();
+            assert_eq!(samples.len(), report.metrics.rounds, "threads={threads}");
+            let messages: u64 = samples.iter().map(|s| s.messages).sum();
+            let bits: u64 = samples.iter().map(|s| s.bits).sum();
+            assert_eq!(messages, report.metrics.messages, "threads={threads}");
+            assert_eq!(bits, report.metrics.bits, "threads={threads}");
+            assert!(messages > 0);
+        }
     }
 
     #[test]

@@ -47,8 +47,6 @@ pub struct RunMetrics {
     /// CSR-parallel message plane — the per-event cost of continuing in
     /// place instead of re-solving from scratch. Zero without churn.
     pub graph_rebuilds: u64,
-    /// Per-round breakdown (empty unless trace recording was enabled).
-    pub per_round: Vec<RoundMetrics>,
 }
 
 impl RunMetrics {
@@ -71,11 +69,8 @@ impl RunMetrics {
     }
 
     /// Combines the metrics of two consecutive stages of a composed
-    /// algorithm: counters add, maxima take the max, and per-round traces
-    /// concatenate in stage order.
+    /// algorithm: counters add and maxima take the max.
     pub fn merged(&self, later: &RunMetrics) -> RunMetrics {
-        let mut per_round = self.per_round.clone();
-        per_round.extend(later.per_round.iter().copied());
         RunMetrics {
             rounds: self.rounds + later.rounds,
             messages: self.messages + later.messages,
@@ -84,7 +79,6 @@ impl RunMetrics {
             max_node_messages: self.max_node_messages.max(later.max_node_messages),
             byz_rejected: self.byz_rejected + later.byz_rejected,
             graph_rebuilds: self.graph_rebuilds + later.graph_rebuilds,
-            per_round,
         }
     }
 }
@@ -124,10 +118,6 @@ mod tests {
             max_node_messages: 5,
             byz_rejected: 1,
             graph_rebuilds: 2,
-            per_round: vec![RoundMetrics {
-                messages: 8,
-                bits: 64,
-            }],
         };
         let b = RunMetrics {
             rounds: 2,
@@ -137,10 +127,6 @@ mod tests {
             max_node_messages: 11,
             byz_rejected: 4,
             graph_rebuilds: 1,
-            per_round: vec![RoundMetrics {
-                messages: 3,
-                bits: 9,
-            }],
         };
         let m = a.merged(&b);
         assert_eq!(m.rounds, 6);
@@ -150,7 +136,6 @@ mod tests {
         assert_eq!(m.max_node_messages, 11);
         assert_eq!(m.byz_rejected, 5);
         assert_eq!(m.graph_rebuilds, 3);
-        assert_eq!(m.per_round.len(), 2);
         assert_eq!(a.merged(&RunMetrics::default()), a);
     }
 }

@@ -402,8 +402,8 @@ impl Tracer {
 /// The where-does-time-go rollup of one traced run: per-label span
 /// totals, fork/join overhead, worker imbalance, the structural
 /// fingerprint, and the round counter series. This is what solvers
-/// attach to `SolveReport`s, what the run store persists as `trace`
-/// lines, and what `regress` gates phase-share drift on.
+/// attach to `SolveReport`s and what the run store persists as `trace`
+/// lines.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TraceSummary {
     /// Worker tracks observed (= engine chunks; 1 on the sequential path).

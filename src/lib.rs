@@ -83,8 +83,10 @@
 //! # Experiment matrices
 //!
 //! [`ExperimentRunner`](kw_core::solver::ExperimentRunner) fans a
-//! solver × workload × seed matrix into (optionally multi-threaded) runs
-//! with aggregated statistics:
+//! solver × workload × seed matrix into (optionally multi-threaded) runs,
+//! one [`RunRecord`](kw_core::solver::RunRecord) per run, and
+//! [`Summary`](kw_results::summary::Summary) rolls the records up per
+//! cell:
 //!
 //! ```
 //! use kw_domset::prelude::*;
@@ -93,9 +95,11 @@
 //! let registry = kw_domset::default_registry();
 //! let solvers = registry.build_all(["kw:k=2", "greedy", "trivial"])?;
 //! let workloads = vec![("grid8".to_string(), generators::grid(8, 8))];
-//! let cells = ExperimentRunner::new().run_matrix(&solvers, &workloads, 0..5)?;
-//! assert_eq!(cells.len(), 3);
-//! assert!(cells.iter().all(|c| c.failures == 0));
+//! let records = ExperimentRunner::new().run_matrix(&solvers, &workloads, 0..5)?;
+//! assert_eq!(records.len(), 3 * 5);
+//! let summary = Summary::from_records(&records);
+//! assert_eq!(summary.cells.len(), 3);
+//! assert!(summary.cells.iter().all(|c| c.failures == 0));
 //! # Ok::<(), kw_core::solver::SolveError>(())
 //! ```
 //!
@@ -166,10 +170,9 @@
 //!   missing cells;
 //! * [`Summary`](kw_results::summary::Summary) rolls stored records up
 //!   per cell and per solver (mean/p50/p95) and renders markdown or CSV;
-//! * the `regress` binary diffs a candidate store against a baseline and
-//!   exits non-zero on quality or ≥20% time regressions; `kw-load`
-//!   latency percentiles share the same store format via
-//!   `KW_BENCH_STORE`.
+//! * the `regress` binary diffs a candidate store's answers against a
+//!   baseline and exits non-zero on missing cells, new non-dominating
+//!   runs or set-size growth. It does not gate wall time.
 //!
 //! Performance itself is measured in one place: the `kwperf` package at
 //! the repository root times the solve and serve paths end to end and
@@ -353,11 +356,7 @@
 //! shares, barrier time, imbalance, structure hash, round series) to
 //! the report when [`SolveContext::trace`](kw_core::solver::SolveContext)
 //! is set. Summaries persist as `trace` lines in the run store (schema
-//! v3, [`TraceRecord`](kw_results::store::TraceRecord)) and gate in
-//! `regress`:
-//! [`compare_traces`](kw_results::compare_traces) flags any engine
-//! phase whose share of total phase time drifts by more than 15
-//! percentage points against the stored baseline. `POST /solve` takes
+//! v3, [`TraceRecord`](kw_results::store::TraceRecord)). `POST /solve` takes
 //! `"trace": true` and answers with the rollup inline; `GET /metrics`
 //! exports cumulative per-phase counters
 //! (`kw_serve_solve_phase_us_total{phase="..."}`).
@@ -416,9 +415,8 @@
 //! carry a wall-clock deadline, oversized or malformed requests map to
 //! 4xx (never a panic — solver panics are caught and answered as 500
 //! and counted), and `kw-load` replays named request mixes
-//! (`kw_bench::mix`) at a target concurrency, appending latency
-//! percentiles to `KW_BENCH_STORE` so `regress` gates serving
-//! performance like any other benchmark.
+//! (`kw_bench::mix`) at a target concurrency and reports throughput
+//! and latency percentiles.
 //!
 //! # Static analysis (`kw-lint`)
 //!

@@ -188,10 +188,14 @@ fn experiment_runner_matches_individual_solves() {
     let solvers = registry.build_all(["kw:k=2", "greedy"]).unwrap();
     let workloads = vec![("grid5x5".to_string(), generators::grid(5, 5))];
     let seeds: Vec<u64> = (0..4).collect();
-    let cells = ExperimentRunner::new()
+    let records = ExperimentRunner::new()
         .run_matrix(&solvers, &workloads, seeds.iter().copied())
         .unwrap();
-    for (solver, cell) in solvers.iter().zip(&cells) {
+    let summary = Summary::from_records(&records);
+    for solver in &solvers {
+        let cell = summary
+            .cell_under(&solver.spec(), &workloads[0].0, "")
+            .expect("every cell ran");
         let sizes: Vec<f64> = seeds
             .iter()
             .map(|&s| {
