@@ -12,6 +12,20 @@
 //! 4 messages per inner iteration, `4k² + 2k` rounds in this
 //! implementation (`4k² + O(k)` in the paper's statement).
 //!
+//! # Width in memory
+//!
+//! Every count a node sends — degrees, `δ⁽¹⁾`, `δ⁽²⁾`, `a(v)`, `δ̃`,
+//! `γ⁽¹⁾` — and every `a⁽¹⁾` inside an [`XCode`] is held as a `u32`: a
+//! [`CsrGraph`]'s offsets are `u32`, so no count exceeds it, and decoders
+//! reject larger wire values instead of truncating them. This keeps an
+//! [`Alg3Msg`] at 12 bytes, so the engine's per-round table of solo
+//! broadcasts (one `Option<Alg3Msg>` per node, read at random by every
+//! neighbor's gather) is 1.2 MB at `n = 100k` and stays in a 2 MiB L2
+//! cache, which `u64` counts would overflow. The receiver's
+//! `x = a^{−m/(m+1)}` likewise comes from a memoized table of the exact
+//! `powf` results (see [`XCode::value`]) rather than one `powf` per
+//! received value. Neither changes the wire format or any answer.
+//!
 //! # Example
 //!
 //! ```
@@ -26,6 +40,8 @@
 //! # Ok::<(), kw_core::CoreError>(())
 //! ```
 
+use std::sync::OnceLock;
+
 use kw_graph::{CsrGraph, FractionalAssignment, COVERAGE_TOLERANCE};
 use kw_sim::wire::{self, BitReader, BitWriter, WireEncode};
 use kw_sim::{Ctx, Engine, EngineConfig, Protocol, RunMetrics, Status};
@@ -37,20 +53,58 @@ use crate::CoreError;
 ///
 /// Sending the defining integer pair instead of a raw float keeps messages
 /// at `O(log Δ + log k)` bits and makes the receiver's reconstruction
-/// bit-identical to the sender's value.
+/// bit-identical to the sender's value. Both fields are `u32` in memory
+/// (8 bytes, so an [`Alg3Msg`] is 12): `a` is a closed-neighborhood count,
+/// which a [`CsrGraph`] bounds by `u32`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct XCode {
     /// The active-neighbor maximum `a⁽¹⁾ ≥ 1` at assignment time.
-    pub a: u64,
+    pub a: u32,
     /// The inner-iteration index `m`.
     pub m: u32,
 }
 
+/// Bounds of the memoized x-value table: it holds every code with
+/// `a < TABLE_A` and `m < TABLE_M` (64 KiB). `m < k`, so a run with
+/// `k ≤ 8` on a graph with `Δ < 1023` never leaves it.
+const TABLE_A: u32 = 1024;
+const TABLE_M: u32 = 8;
+
 impl XCode {
     /// The x-value this code denotes.
+    ///
+    /// Codes inside the table's bounds read a process-wide table built
+    /// once from [`powf`](f64::powf) itself, so every value is
+    /// bit-identical to the direct computation; codes outside fall back to
+    /// `powf`. The table saves one `powf` per received x-value, up to
+    /// `n · Δ` per `IterStep3` round. No closed form qualifies: `1/√a`
+    /// already differs from `a^{−1/2}` in the last bit at `a = 2`.
     pub fn value(self) -> f64 {
-        (self.a as f64).powf(-(self.m as f64) / (self.m as f64 + 1.0))
+        if self.a < TABLE_A && self.m < TABLE_M {
+            x_table()[self.m as usize][self.a as usize]
+        } else {
+            self.powf()
+        }
     }
+
+    /// The defining expression, evaluated directly.
+    fn powf(self) -> f64 {
+        f64::from(self.a).powf(-f64::from(self.m) / (f64::from(self.m) + 1.0))
+    }
+}
+
+/// `x_table()[m][a]` is `XCode { a, m }.powf()`, computed on first use.
+fn x_table() -> &'static [[f64; TABLE_A as usize]; TABLE_M as usize] {
+    static TABLE: OnceLock<[[f64; TABLE_A as usize]; TABLE_M as usize]> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let mut table = [[0.0; TABLE_A as usize]; TABLE_M as usize];
+        for (m, row) in (0..).zip(table.iter_mut()) {
+            for (a, x) in (0..).zip(row.iter_mut()) {
+                *x = XCode { a, m }.powf();
+            }
+        }
+        table
+    })
 }
 
 /// Messages exchanged by Algorithm 3. The meaning of `Uint` depends on the
@@ -59,7 +113,7 @@ impl XCode {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Alg3Msg {
     /// An unsigned quantity (see above).
-    Uint(u64),
+    Uint(u32),
     /// Presence message: "I am active this iteration".
     Active,
     /// The sender's current x-value (`None` = 0).
@@ -73,7 +127,7 @@ impl WireEncode for Alg3Msg {
         match self {
             Alg3Msg::Uint(v) => {
                 w.write_bits(0b00, 2);
-                w.write_gamma(*v);
+                w.write_gamma(u64::from(*v));
             }
             Alg3Msg::Active => w.write_bits(0b01, 2),
             Alg3Msg::X(code) => {
@@ -81,7 +135,7 @@ impl WireEncode for Alg3Msg {
                 match code {
                     None => w.write_gamma(0),
                     Some(XCode { a, m }) => {
-                        w.write_gamma(*a);
+                        w.write_gamma(u64::from(*a));
                         w.write_gamma(u64::from(*m));
                     }
                 }
@@ -94,12 +148,15 @@ impl WireEncode for Alg3Msg {
     }
 
     fn decode(r: &mut BitReader<'_>) -> Option<Self> {
+        // Values past u32 are rejected, never truncated: no honest sender
+        // produces one.
         Some(match r.read_bits(2)? {
-            0b00 => Alg3Msg::Uint(r.read_gamma()?),
+            0b00 => Alg3Msg::Uint(u32::try_from(r.read_gamma()?).ok()?),
             0b01 => Alg3Msg::Active,
             0b10 => match r.read_gamma()? {
                 0 => Alg3Msg::X(None),
                 a => {
+                    let a = u32::try_from(a).ok()?;
                     let m = u32::try_from(r.read_gamma()?).ok()?;
                     Alg3Msg::X(Some(XCode { a, m }))
                 }
@@ -110,11 +167,11 @@ impl WireEncode for Alg3Msg {
 
     fn encoded_bits(&self) -> usize {
         match self {
-            Alg3Msg::Uint(v) => 2 + wire::gamma_len(*v),
+            Alg3Msg::Uint(v) => 2 + wire::gamma_len(u64::from(*v)),
             Alg3Msg::Active => 2,
             Alg3Msg::X(None) => 2 + wire::gamma_len(0),
             Alg3Msg::X(Some(XCode { a, m })) => {
-                2 + wire::gamma_len(*a) + wire::gamma_len(u64::from(*m))
+                2 + wire::gamma_len(u64::from(*a)) + wire::gamma_len(u64::from(*m))
             }
             Alg3Msg::Color(_) => 3,
         }
@@ -187,22 +244,22 @@ pub struct Alg3Output {
 #[derive(Clone, Debug)]
 pub struct Alg3Protocol {
     k: u32,
-    degree: u64,
+    degree: u32,
     phase: Phase,
     /// The phase most recently executed (what observers should attribute
     /// the current state to).
     executed: Phase,
-    delta1: u64,
-    delta2: u64,
-    gamma1: u64,
-    gamma2: u64,
-    delta_tilde: usize,
+    delta1: u32,
+    delta2: u32,
+    gamma1: u32,
+    gamma2: u32,
+    delta_tilde: u32,
     x: f64,
     x_code: Option<XCode>,
     is_gray: bool,
     active: bool,
-    a_count: u64,
-    a1: u64,
+    a_count: u32,
+    a1: u32,
 }
 
 impl Alg3Protocol {
@@ -210,18 +267,22 @@ impl Alg3Protocol {
     ///
     /// # Panics
     ///
-    /// Panics if `k == 0` (validated centrally by [`run_alg3`]).
+    /// Panics if `k == 0` (validated centrally by [`run_alg3`]) or if the
+    /// closed neighborhood, `degree + 1`, does not fit in a `u32`, which
+    /// no [`CsrGraph`] node's does.
     pub fn new(k: u32, degree: usize) -> Self {
         assert!(k >= 1, "k must be positive");
+        let closed = u32::try_from(degree + 1).expect("closed neighborhoods fit in u32");
+        let degree = closed - 1;
         Alg3Protocol {
             k,
-            degree: degree as u64,
+            degree,
             phase: Phase::SendDegree,
             executed: Phase::SendDegree,
-            delta1: degree as u64,
-            delta2: degree as u64,
+            delta1: degree,
+            delta2: degree,
             gamma1: 0,
-            gamma2: degree as u64 + 1,
+            gamma2: degree + 1,
             delta_tilde: degree + 1,
             x: 0.0,
             x_code: None,
@@ -245,28 +306,28 @@ impl Alg3Protocol {
         Alg3State {
             x: self.x,
             is_gray: self.is_gray,
-            delta_tilde: self.delta_tilde,
-            gamma2: self.gamma2,
-            gamma1: self.gamma1,
+            delta_tilde: self.delta_tilde as usize,
+            gamma2: u64::from(self.gamma2),
+            gamma1: u64::from(self.gamma1),
             active: self.active,
-            a_count: self.a_count,
-            a1: self.a1,
+            a_count: u64::from(self.a_count),
+            a1: u64::from(self.a1),
             position,
         }
     }
 
     /// The activity threshold `γ⁽²⁾(v)^{ℓ/(ℓ+1)}`.
     fn threshold(&self, l: u32) -> f64 {
-        (self.gamma2 as f64).powf(l as f64 / (l as f64 + 1.0))
+        f64::from(self.gamma2).powf(l as f64 / (l as f64 + 1.0))
     }
 
     /// The node's `δ⁽²⁾` learned during setup (valid after the setup
     /// rounds; the composite protocol reuses it for the rounding stage).
     pub fn delta2(&self) -> u64 {
-        self.delta2
+        u64::from(self.delta2)
     }
 
-    fn max_uint<'m>(inbox: impl Iterator<Item = &'m Alg3Msg>, own: u64) -> u64 {
+    fn max_uint<'m>(inbox: impl Iterator<Item = &'m Alg3Msg>, own: u32) -> u32 {
         let mut best = own;
         // Honest lock-step senders never mix variants; any other arm is
         // byzantine corruption that happened to decode — garbage, dropped.
@@ -278,12 +339,12 @@ impl Alg3Protocol {
         best
     }
 
-    fn count_white<'m>(&self, inbox: impl Iterator<Item = &'m Alg3Msg>) -> usize {
-        let mut white = usize::from(!self.is_gray);
+    fn count_white<'m>(&self, inbox: impl Iterator<Item = &'m Alg3Msg>) -> u32 {
+        let mut white = u32::from(!self.is_gray);
         for msg in inbox {
             // Non-Color arms are byzantine garbage (see `max_uint`).
             if let Alg3Msg::Color(gray) = msg {
-                white += usize::from(!gray);
+                white += u32::from(!gray);
             }
         }
         white
@@ -316,7 +377,8 @@ impl Alg3Protocol {
                 match entering {
                     Entering::FromSetup => {
                         self.delta2 = Self::max_uint(inbox, self.delta1);
-                        self.gamma2 = self.delta2 + 1;
+                        // A forged `Uint(u32::MAX)` must not overflow.
+                        self.gamma2 = self.delta2.saturating_add(1);
                     }
                     Entering::FromColor => {
                         self.delta_tilde = self.count_white(inbox);
@@ -330,12 +392,13 @@ impl Alg3Protocol {
                 // white closed neighbor must not activate — the paper
                 // implicitly assumes this (a gray active node needs a white
                 // neighbor for its weight to be distributable).
-                self.active = self.delta_tilde >= 1 && self.delta_tilde as f64 >= self.threshold(l);
+                self.active =
+                    self.delta_tilde >= 1 && f64::from(self.delta_tilde) >= self.threshold(l);
                 self.phase = Phase::IterStep1 { l, m };
                 (Status::Running, self.active.then_some(Alg3Msg::Active))
             }
             Phase::IterStep1 { l, m } => {
-                let mut count = u64::from(self.active);
+                let mut count = u32::from(self.active);
                 for msg in inbox {
                     // Non-Active arms are byzantine garbage (see `max_uint`).
                     if msg == &Alg3Msg::Active {
@@ -395,13 +458,10 @@ impl Alg3Protocol {
             Phase::OuterA { l } => {
                 self.delta_tilde = self.count_white(inbox);
                 self.phase = Phase::OuterB { l };
-                (
-                    Status::Running,
-                    Some(Alg3Msg::Uint(self.delta_tilde as u64)),
-                )
+                (Status::Running, Some(Alg3Msg::Uint(self.delta_tilde)))
             }
             Phase::OuterB { l } => {
-                self.gamma1 = Self::max_uint(inbox, self.delta_tilde as u64);
+                self.gamma1 = Self::max_uint(inbox, self.delta_tilde);
                 self.phase = Phase::IterStep0 {
                     l: l - 1,
                     m: self.k - 1,
@@ -434,7 +494,7 @@ impl Protocol for Alg3Protocol {
         Alg3Output {
             x: self.x,
             is_gray: self.is_gray,
-            delta2: self.delta2,
+            delta2: u64::from(self.delta2),
         }
     }
 }
@@ -508,17 +568,18 @@ pub fn reference_alg3(g: &CsrGraph, k: u32) -> Result<FractionalAssignment, Core
                     delta_tilde[i] >= 1 && delta_tilde[i] as f64 >= thr
                 })
                 .collect();
-            let a: Vec<u64> = g
+            let a: Vec<u32> = g
                 .node_ids()
                 .map(|v| {
                     if gray[v.index()] {
                         0
                     } else {
-                        g.closed_neighbors(v).filter(|u| active[u.index()]).count() as u64
+                        let count = g.closed_neighbors(v).filter(|u| active[u.index()]).count();
+                        u32::try_from(count).expect("closed neighborhoods fit in u32")
                     }
                 })
                 .collect();
-            let a1: Vec<u64> = g
+            let a1: Vec<u32> = g
                 .node_ids()
                 .map(|v| {
                     g.closed_neighbors(v)
@@ -603,9 +664,11 @@ mod tests {
         for msg in [
             Alg3Msg::Uint(0),
             Alg3Msg::Uint(12345),
+            Alg3Msg::Uint(u32::MAX),
             Alg3Msg::Active,
             Alg3Msg::X(None),
             Alg3Msg::X(Some(XCode { a: 17, m: 3 })),
+            Alg3Msg::X(Some(XCode { a: u32::MAX, m: 3 })),
             Alg3Msg::Color(true),
             Alg3Msg::Color(false),
         ] {
@@ -613,6 +676,39 @@ mod tests {
         }
         assert_eq!(Alg3Msg::Active.encoded_bits(), 2);
         assert_eq!(Alg3Msg::Color(false).encoded_bits(), 3);
+    }
+
+    #[test]
+    fn messages_stay_narrow() {
+        let size = std::mem::size_of::<Alg3Msg>();
+        assert!(size <= 12, "Alg3Msg is {size} bytes");
+        // The engine's solo table holds `Option<Msg>`: the niche keeps it
+        // free.
+        assert_eq!(std::mem::size_of::<Option<Alg3Msg>>(), size);
+    }
+
+    #[test]
+    fn values_past_u32_are_rejected() {
+        // A `Uint` and an x-code `a` of 2³² decode to nothing.
+        for (tag, tail) in [(0b00, None), (0b10, Some(3))] {
+            let mut w = BitWriter::new();
+            w.write_bits(tag, 2);
+            w.write_gamma(1 << 32);
+            if let Some(m) = tail {
+                w.write_gamma(m);
+            }
+            let bytes = w.into_bytes();
+            assert_eq!(Alg3Msg::decode(&mut BitReader::new(&bytes)), None);
+        }
+    }
+
+    #[test]
+    fn forged_u32_max_delta_saturates_gamma2() {
+        let mut p = Alg3Protocol::new(2, 3);
+        p.step([].iter());
+        p.step([].iter());
+        p.step([Alg3Msg::Uint(u32::MAX)].iter());
+        assert_eq!(p.state().gamma2, u64::from(u32::MAX));
     }
 
     #[test]

@@ -222,6 +222,7 @@ pub fn run_composite(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::alg3::XCode;
     use crate::math;
     use kw_graph::generators;
     use kw_sim::wire::roundtrip;
@@ -232,13 +233,24 @@ mod tests {
     fn message_roundtrip() {
         for m in [
             CompositeMsg::Lp(Alg3Msg::Uint(9)),
+            CompositeMsg::Lp(Alg3Msg::Uint(u32::MAX)),
             CompositeMsg::Lp(Alg3Msg::Active),
+            CompositeMsg::Lp(Alg3Msg::X(Some(XCode { a: u32::MAX, m: 3 }))),
             CompositeMsg::Lp(Alg3Msg::Color(true)),
             CompositeMsg::InSet(false),
             CompositeMsg::InSet(true),
         ] {
             assert_eq!(roundtrip(&m), Some(m.clone()));
         }
+    }
+
+    #[test]
+    fn messages_stay_narrow() {
+        let size = std::mem::size_of::<CompositeMsg>();
+        assert!(size <= 12, "CompositeMsg is {size} bytes");
+        // The engine's solo table holds `Option<Msg>`: the niche keeps it
+        // free.
+        assert_eq!(std::mem::size_of::<Option<CompositeMsg>>(), size);
     }
 
     #[test]

@@ -81,10 +81,14 @@ pub struct RoundingConfig {
 }
 
 /// Messages of Algorithm 1.
+///
+/// Degrees are `u32` in memory, the width a [`CsrGraph`] bounds them by,
+/// so a message is 8 bytes (see the [`alg3`](crate::alg3) module docs for
+/// why the engine's gather wants narrow messages).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RoundingMsg {
     /// A degree or `δ⁽¹⁾` value (setup rounds).
-    Degree(u64),
+    Degree(u32),
     /// The sender's membership decision.
     InSet(bool),
 }
@@ -94,7 +98,7 @@ impl WireEncode for RoundingMsg {
         match self {
             RoundingMsg::Degree(d) => {
                 w.write_bit(false);
-                w.write_gamma(*d);
+                w.write_gamma(u64::from(*d));
             }
             RoundingMsg::InSet(b) => {
                 w.write_bit(true);
@@ -107,13 +111,14 @@ impl WireEncode for RoundingMsg {
         Some(if r.read_bit()? {
             RoundingMsg::InSet(r.read_bit()?)
         } else {
-            RoundingMsg::Degree(r.read_gamma()?)
+            // Past u32 is rejected, never truncated.
+            RoundingMsg::Degree(u32::try_from(r.read_gamma()?).ok()?)
         })
     }
 
     fn encoded_bits(&self) -> usize {
         match self {
-            RoundingMsg::Degree(d) => 1 + wire::gamma_len(*d),
+            RoundingMsg::Degree(d) => 1 + wire::gamma_len(u64::from(*d)),
             RoundingMsg::InSet(_) => 2,
         }
     }
@@ -136,8 +141,8 @@ pub struct RoundingOutput {
 pub struct Alg1Protocol {
     config: RoundingConfig,
     x: f64,
-    degree: u64,
-    delta1: u64,
+    degree: u32,
+    delta1: u32,
     delta2: u64,
     /// When set, skip the setup rounds and use this as `δ⁽²⁾` (the
     /// pipeline reuses Algorithm 3's setup).
@@ -150,13 +155,19 @@ pub struct Alg1Protocol {
 impl Alg1Protocol {
     /// Creates the program for a node with fractional value `x` and degree
     /// `degree`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `degree` does not fit in a `u32`, which no [`CsrGraph`]
+    /// degree exceeds.
     pub fn new(config: RoundingConfig, x: f64, degree: usize) -> Self {
+        let degree = u32::try_from(degree).expect("CsrGraph degrees fit in u32");
         Alg1Protocol {
             config,
             x,
-            degree: degree as u64,
-            delta1: degree as u64,
-            delta2: degree as u64,
+            degree,
+            delta1: degree,
+            delta2: u64::from(degree),
             preset_delta2: None,
             probability: 0.0,
             in_set: false,
@@ -167,6 +178,10 @@ impl Alg1Protocol {
     /// Like [`new`](Self::new), but `δ⁽²⁾` is already known (e.g. computed
     /// by Algorithm 3's setup rounds), skipping the two degree-exchange
     /// rounds.
+    ///
+    /// # Panics
+    ///
+    /// As [`new`](Self::new).
     pub fn with_known_delta2(config: RoundingConfig, x: f64, degree: usize, delta2: u64) -> Self {
         let mut p = Self::new(config, x, degree);
         p.preset_delta2 = Some(delta2);
@@ -215,7 +230,7 @@ impl Protocol for Alg1Protocol {
                             best = best.max(*d);
                         }
                     }
-                    self.delta2 = best;
+                    self.delta2 = u64::from(best);
                 }
                 self.draw_and_announce(ctx);
                 Status::Running
@@ -394,12 +409,31 @@ mod tests {
         for msg in [
             RoundingMsg::Degree(0),
             RoundingMsg::Degree(255),
+            RoundingMsg::Degree(u32::MAX),
             RoundingMsg::InSet(true),
             RoundingMsg::InSet(false),
         ] {
             assert_eq!(roundtrip(&msg), Some(msg.clone()));
         }
         assert_eq!(RoundingMsg::InSet(true).encoded_bits(), 2);
+    }
+
+    #[test]
+    fn messages_stay_narrow() {
+        let size = std::mem::size_of::<RoundingMsg>();
+        assert!(size <= 8, "RoundingMsg is {size} bytes");
+        // The engine's solo table holds `Option<Msg>`: the niche keeps it
+        // free.
+        assert_eq!(std::mem::size_of::<Option<RoundingMsg>>(), size);
+    }
+
+    #[test]
+    fn degrees_past_u32_are_rejected() {
+        let mut w = BitWriter::new();
+        w.write_bit(false);
+        w.write_gamma(1 << 32);
+        let bytes = w.into_bytes();
+        assert_eq!(RoundingMsg::decode(&mut BitReader::new(&bytes)), None);
     }
 
     #[test]

@@ -50,14 +50,25 @@ fn colors_match_coverage_at_termination() {
 
 /// The x-values of Algorithm 3 are powers `a^{-m/(m+1)}`; XCode must
 /// reproduce the node's value exactly (what the wire format relies on).
+/// `value()` reads a memoized table for `a < 1024`, `m < 8` and calls
+/// `powf` outside it, so this compares every table entry bit for bit,
+/// plus both sides of each bound and the `u32` extremes.
 #[test]
 fn alg3_xcode_reconstruction_is_exact() {
-    for a in [1u64, 2, 7, 100, 10_000] {
-        for m in 0u32..6 {
-            let code = XCode { a, m };
-            let direct = (a as f64).powf(-(m as f64) / (m as f64 + 1.0));
-            assert_eq!(code.value(), direct);
-            assert!(code.value() > 0.0 && code.value() <= 1.0);
+    let direct = |a: u32, m: u32| (a as f64).powf(-(m as f64) / (m as f64 + 1.0));
+    let edges = [0, 1, 7, 8, 9, 1023, 1024, 1025, u32::MAX - 1, u32::MAX];
+    let grid = (0..=1100).flat_map(|a| (0..=9).map(move |m| (a, m)));
+    let extremes = edges.into_iter().flat_map(|a| edges.map(|m| (a, m)));
+    for (a, m) in grid.chain(extremes) {
+        let value = XCode { a, m }.value();
+        assert_eq!(
+            value.to_bits(),
+            direct(a, m).to_bits(),
+            "a = {a}, m = {m}: {value} vs {}",
+            direct(a, m)
+        );
+        if a >= 1 {
+            assert!(value > 0.0 && value <= 1.0, "a = {a}, m = {m}: {value}");
         }
     }
 }

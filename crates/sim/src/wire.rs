@@ -168,8 +168,13 @@ impl<'a> BitReader<'a> {
 /// A message type with an exact bit-level wire format.
 ///
 /// The engine uses [`encoded_bits`](WireEncode::encoded_bits) to charge
-/// message sizes and round-trips messages through `encode`/`decode` in
-/// debug assertions, so the two must agree.
+/// message sizes. When [`EngineConfig::check_wire`] is set, in every
+/// build profile, it also encodes each sent message, checks the length
+/// against `encoded_bits` and decodes the bytes back, failing the run with
+/// [`SimError::WireMismatch`] on any disagreement; so the three must agree.
+///
+/// [`EngineConfig::check_wire`]: crate::EngineConfig::check_wire
+/// [`SimError::WireMismatch`]: crate::SimError::WireMismatch
 pub trait WireEncode {
     /// Serializes `self` into the writer.
     fn encode(&self, w: &mut BitWriter);

@@ -47,7 +47,8 @@ fn wire_checking_passes_for_all_protocols() {
     let x = kw_graph::FractionalAssignment::uniform(&g, 0.2);
     kw_core::rounding::run_rounding(&g, &x, Default::default(), cfg.clone()).unwrap();
     let w = VertexWeights::uniform(&g);
-    kw_core::weighted::run_weighted_alg2(&g, &w, 2, cfg).unwrap();
+    kw_core::weighted::run_weighted_alg2(&g, &w, 2, cfg.clone()).unwrap();
+    kw_core::composite::run_composite(&g, 2, Default::default(), cfg).unwrap();
 }
 
 #[test]
