@@ -19,9 +19,9 @@
 //! [`CsrGraph`]'s offsets are `u32`, so no count exceeds it, and decoders
 //! reject larger wire values instead of truncating them. This keeps an
 //! [`Alg3Msg`] at 12 bytes, so the engine's per-round table of solo
-//! broadcasts (one `Option<Alg3Msg>` per node, read at random by every
-//! neighbor's gather) is 1.2 MB at `n = 100k` and stays in a 2 MiB L2
-//! cache, which `u64` counts would overflow. The receiver's
+//! broadcasts (one `Option<Alg3Msg>` per node, read in place at random
+//! by every neighbor's inbox) is 1.2 MB at `n = 100k` and stays in a
+//! 2 MiB L2 cache, which `u64` counts would overflow. The receiver's
 //! `x = a^{−m/(m+1)}` likewise comes from a memoized table of the exact
 //! `powf` results (see [`XCode::value`]) rather than one `powf` per
 //! received value. Neither changes the wire format or any answer.
@@ -482,8 +482,7 @@ impl Protocol for Alg3Protocol {
     type Output = Alg3Output;
 
     fn on_round(&mut self, ctx: &mut Ctx<'_, Alg3Msg>) -> Status {
-        let inbox = ctx.inbox_slice();
-        let (status, send) = self.step(inbox.iter().map(|(_, m)| m));
+        let (status, send) = self.step(ctx.inbox().iter().map(|(_, m)| m));
         if let Some(msg) = send {
             ctx.broadcast(msg);
         }

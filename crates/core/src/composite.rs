@@ -125,8 +125,7 @@ impl Protocol for CompositeProtocol {
         if round < self.lp_rounds {
             // LP phase: unwrap messages, delegate to the engine-independent
             // state machine, re-wrap the (single) broadcast.
-            let inbox = ctx.inbox_slice();
-            let lp_msgs = inbox.iter().filter_map(|(_, m)| match m {
+            let lp_msgs = ctx.inbox().iter().filter_map(|(_, m)| match m {
                 CompositeMsg::Lp(inner) => Some(inner),
                 CompositeMsg::InSet(_) => None,
             });

@@ -84,7 +84,8 @@ pub struct RoundingConfig {
 ///
 /// Degrees are `u32` in memory, the width a [`CsrGraph`] bounds them by,
 /// so a message is 8 bytes (see the [`alg3`](crate::alg3) module docs for
-/// why the engine's gather wants narrow messages).
+/// why the engine's solo table, which inboxes read in place, wants narrow
+/// messages).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RoundingMsg {
     /// A degree or `δ⁽¹⁾` value (setup rounds).

@@ -5,19 +5,26 @@
 //! Both halves of a round — sending and receiving — run on flat arrays
 //! parallel to the graph's CSR edge array; no per-node `Vec` exists
 //! anywhere on the hot path. A round costs `O(m + traffic)` — the
-//! `m`-term is each computing node walking its own ports once, while
-//! every random-access and cloning cost scales with the traffic actually
+//! `m`-term is computing nodes walking their own ports (once per gather,
+//! or as often as a protocol iterates an in-place inbox), while every
+//! random-access and cloning cost scales with the traffic actually
 //! delivered:
 //!
-//! 1. the **compute phase** first **gathers** each running node's inbox,
-//!    just before its `on_round`, into one small buffer its worker reuses
-//!    for every node: walking the node's ports in order, a neighbor that
-//!    was a *solo* sender last round contributes its payload from the
-//!    previous round's dense solo table, a *staged* sender contributes
-//!    its delivered copies from the staging run of the reverse arc
-//!    (`rev_edge`, a flat table built in `O(m)` by a counting pass the
-//!    first time a round stages traffic), and a quiet one contributes
-//!    nothing. Then the node's [`Ctx`] writes its sends through an opaque
+//! 1. the **compute phase** hands each running node's `on_round` an
+//!    [`Inbox`](crate::Inbox) over the previous round's tables. After a
+//!    round that staged nothing — every sender quiet or *solo* — the
+//!    inbox reads the previous round's dense solo table **in place**,
+//!    through the node's CSR port slice: port `q` carries its neighbor's
+//!    solo payload if there is one, and nothing is copied, so a node pays
+//!    only for the entries its protocol reads. After a round that staged
+//!    traffic, the node's worker first **gathers** its inbox into one
+//!    small buffer it reuses for every node: walking the node's ports in
+//!    order, a solo sender contributes its payload from the solo table,
+//!    a *staged* sender contributes its delivered copies from the staging
+//!    run of the reverse arc (`rev_edge`, a flat table built in `O(m)` by
+//!    a counting pass the first time a round stages traffic), and a quiet
+//!    one contributes nothing. Both yield the same sequence. Then the
+//!    node's [`Ctx`] writes its sends through an opaque
 //!    [`Sink`](crate::Sink) whose engine implementation appends straight
 //!    into a per-node run of a flat send arena (one arena per worker
 //!    chunk, reused every round). Sender-side metrics, wire checking,
@@ -37,13 +44,14 @@
 //!    its arena run into one sender-major staging buffer, in
 //!    port-then-slot order;
 //! 3. a **swap** ends delivery: the double-buffered solo table hands this
-//!    round's payloads to the next round's gathers, and a flag records
-//!    whether staging holds traffic for them. No message is copied.
+//!    round's payloads to the next round's inboxes, and a flag records
+//!    whether staging holds traffic for them — whether they gather or
+//!    read in place. No message is copied.
 //!
 //! Receiver-side filters need no pass of their own: a halted node never
 //! computes again, a node that is down in a round does not compute in
-//! it, so neither gathers; staged copies to either were already dropped
-//! by the staging pass.
+//! it, so neither reads an inbox; staged copies to either were already
+//! dropped by the staging pass.
 //!
 //! All message-proportional buffers (send arenas, gather buffers,
 //! staging, plan) are reused and keep their capacity, so steady-state
@@ -59,15 +67,15 @@
 //! At `threads > 1` the engine partitions nodes into contiguous,
 //! **degree-weighted** chunks: cut points are chosen by binary search on
 //! the prefix weight `arcs(0..v) + NODE_COST·v`, so each chunk carries
-//! roughly equal gather and compute work even on skewed degree
+//! roughly equal inbox and compute work even on skewed degree
 //! distributions (uniform node-count chunks peaked at 1.6–1.7× max/mean
 //! busy time on G(n,p); `kwperf` reports the residual as
 //! `sim.imbalance`). Boundaries are recomputed on every churn rebuild
 //! against the new CSR plane. Both parallel phases — compute (with its
-//! gathers) and send staging — are driven by one persistent
-//! [`WorkerPool`](crate::pool::WorkerPool) spawned per run: each phase
-//! hands the pool one boxed job per chunk and the pool runs them behind a
-//! lightweight epoch barrier, replacing the
+//! inbox reads and gathers) and send staging — are driven by one
+//! persistent [`WorkerPool`](crate::pool::WorkerPool) spawned per run:
+//! each phase hands the pool one boxed job per chunk and the pool runs
+//! them behind a lightweight epoch barrier, replacing the
 //! spawn/join-per-phase-per-round `std::thread::scope` pattern whose
 //! fork/join overhead was 26–35% of flood wall time.
 //!
@@ -76,34 +84,39 @@
 //! aligned `ChunkSlot` — every send updates a sink's tallies and every
 //! gathered message a buffer length, so unpadded neighbors would put two
 //! workers' writes on one cache line. The single cross-chunk interaction
-//! is the *thin exchange* during the gather: a receiver's worker reads
-//! (never writes) the previous round's solo table and the staging buffer
-//! of the sender's chunk, located through the dense `node_chunk` table
-//! and per-chunk staging bases. Everything downstream addresses sends
-//! through the per-node run table, so the chunked layout stays invisible
-//! to results.
+//! is the *thin exchange* when a node reads its inbox: its worker reads
+//! (never writes) the previous round's solo table and, in a gather, the
+//! staging buffer of the sender's chunk, located through the dense
+//! `node_chunk` table and per-chunk staging bases. Everything downstream
+//! addresses sends through the per-node run table, so the chunked layout
+//! stays invisible to results.
 //!
 //! **Port-numbering invariant:** port `q` of node `v` is `v`'s `q`-th
 //! neighbor in ascending id order — exactly CSR arc `offsets[v] + q`. The
 //! flat plane indexes by arcs but never renumbers ports, so protocols and
 //! recorded traffic are unaffected by the layout.
 //!
-//! Staged (non-solo) deliveries clone a message twice — once into the
-//! staging buffer, once into the receiver's gathered inbox. Messages are
-//! small wire-encoded values (the paper's are `O(log Δ)` bits), so the
-//! extra copy is far cheaper than the outbox rescans it replaces.
+//! A solo broadcast is cloned once, into the solo table, where an
+//! in-place inbox reads it. Staged (non-solo) deliveries clone a message
+//! twice — once into the staging buffer, once into the receiver's
+//! gathered inbox — and a gather after a staged round clones solo
+//! payloads too. Messages are small wire-encoded values (the paper's are
+//! `O(log Δ)` bits), so these copies are far cheaper than the outbox
+//! rescans they replace. Rounds after staging keep the gather because an
+//! inbox that also read staging in place must look up a staging run per
+//! port on every read; a prototype of that single lazy path measured
+//! slower end to end than gathering.
 
 use std::sync::Mutex;
 use std::time::Instant;
 
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 use kw_graph::{apply_churn, CsrGraph, NodeId};
 use kw_trace::{tick_us, RoundSample};
 
 use crate::chaos::ChaosPlan;
-use crate::mailbox::{Ctx, Outbound, Sink};
+use crate::mailbox::{Ctx, Inbox, InboxSrc, Outbound, Sink};
 use crate::metrics::{RoundMetrics, RunMetrics};
 use crate::pool::WorkerPool;
 use crate::rng::node_seed;
@@ -133,9 +146,9 @@ pub struct EngineConfig {
     pub max_rounds: usize,
     /// Run seed; per-node seeds are derived from it.
     pub seed: u64,
-    /// Worker threads for the parallel phases — compute, which gathers
-    /// each node's inbox, and send staging (`<= 1` means sequential).
-    /// Results are identical for any thread count.
+    /// Worker threads for the parallel phases — compute, which runs each
+    /// node's round over its inbox, and send staging (`<= 1` means
+    /// sequential). Results are identical for any thread count.
     pub threads: usize,
     /// Verify that every sent message decodes from its own wire encoding
     /// (a cheap safety net, off by default; conformance tests turn it on).
@@ -219,8 +232,10 @@ struct ChunkOut {
     wire_ok: bool,
     /// Staged (non-solo, non-quiet) senders in this chunk.
     staged: usize,
-    /// Inbox entries this chunk's gathers handed to `on_round`.
-    gathered: usize,
+    /// Inbox entries this chunk handed to `on_round`: every gathered
+    /// entry, and in-place entries only when a tracer is installed
+    /// (counting them walks each in-place inbox).
+    inbox_entries: usize,
     /// Byzantine payloads whose corrupted encoding no longer decoded and
     /// were rejected (never delivered, never a panic).
     byz_rejected: u64,
@@ -234,7 +249,7 @@ impl ChunkOut {
             max_message_bits: 0,
             wire_ok: true,
             staged: 0,
-            gathered: 0,
+            inbox_entries: 0,
             byz_rejected: 0,
         }
     }
@@ -251,9 +266,10 @@ struct ChunkSlot<T>(T);
 /// A gathered inbox: `(port, message)` pairs in `(port, slot)` order.
 type InboxBuf<M> = Vec<(u32, M)>;
 
-/// What the previous round left in flight, as this round's gathers read
+/// What the previous round left in flight, as this round's inboxes read
 /// it: the solo table always, the staging tables only when `staged` is
-/// set (that round's delivery built staging).
+/// set (that round's delivery built staging). Without staging, inboxes
+/// read the solo table in place; with it, each is gathered.
 struct Inflight<'a, M> {
     solo: &'a [Option<M>],
     staged: bool,
@@ -270,14 +286,14 @@ impl<M: Clone> Inflight<'_, M> {
     /// `arc_lo..arc_lo + ports.len()` (`ports` holds their targets) into
     /// `buf`, ascending by port: a solo sender's payload, a staged
     /// sender's delivered copies in its send-slot order, nothing from a
-    /// quiet one.
+    /// quiet one. Only called when `staged` is set.
     fn gather(&self, arc_lo: usize, ports: &[u32], buf: &mut InboxBuf<M>) {
         buf.clear();
         for (q, &u) in ports.iter().enumerate() {
             let u = u as usize;
             if let Some(m) = &self.solo[u] {
                 buf.push((q as u32, m.clone()));
-            } else if self.staged && self.node_plan_base[u] < self.node_plan_base[u + 1] {
+            } else if self.node_plan_base[u] < self.node_plan_base[u + 1] {
                 let (start, end) = self.plan_ranges[self.rev_edge[arc_lo + q] as usize];
                 // Thin cross-chunk exchange: the sender's staged payloads
                 // live in its own chunk's buffer; rebase the global plan
@@ -390,7 +406,10 @@ pub struct Engine<'g, P: Protocol> {
     churned: Option<CsrGraph>,
     config: EngineConfig,
     nodes: Vec<P>,
-    rngs: Vec<SmallRng>,
+    /// Per-node RNG slots, each seeded on its node's first
+    /// [`Ctx::rng`](crate::Ctx::rng) call: protocols that never draw
+    /// (Algorithm 3) seed nothing.
+    rngs: Vec<Option<SmallRng>>,
     halted: Vec<bool>,
     /// `rev_edge[e]` = the directed-arc index of the reverse of arc `e`:
     /// if arc `e` is port `q` of `v` pointing at `u`, then `rev_edge[e]` is
@@ -406,8 +425,9 @@ pub struct Engine<'g, P: Protocol> {
     /// compute and read by staging during delivery. Arenas clear
     /// (capacity kept) every round.
     sinks: Vec<ChunkSlot<StageSink<P::Msg>>>,
-    /// One reused inbox buffer per worker chunk: the gather fills it with
-    /// a node's inbox just before that node's `on_round`.
+    /// One reused inbox buffer per worker chunk: after a staged round, the
+    /// gather fills it with a node's inbox just before that node's
+    /// `on_round`.
     gather: Vec<ChunkSlot<InboxBuf<P::Msg>>>,
     /// Per node: `(start, len)` of this round's sends within its chunk's
     /// send arena — the send-time publication of what used to be
@@ -415,20 +435,22 @@ pub struct Engine<'g, P: Protocol> {
     runs: Vec<(u32, u32)>,
     /// Per node: the payload of a sender whose round is exactly one
     /// broadcast on a reliable network — the dominant traffic shape,
-    /// which receivers gather from this dense cache without staging.
+    /// which receivers read from this dense cache without staging (in
+    /// place when nothing else was staged).
     /// Detected at send time. The write half of a double buffer: the swap
     /// at the end of delivery hands it to the next round as `solo_prev`.
     solo: Vec<Option<P::Msg>>,
-    /// The previous round's `solo`, read by this round's gathers. Emptied
+    /// The previous round's `solo`, read by this round's inboxes. Emptied
     /// at the start of a drive and on every churn rebuild, which drop the
     /// messages in flight.
     solo_prev: Vec<Option<P::Msg>>,
     /// Staged (non-solo, non-quiet) senders this round; when zero, the
     /// entire staging half of delivery is skipped.
     staged_senders: usize,
-    /// Whether the previous round's delivery built staging: only then do
-    /// this round's gathers read `plan_ranges`, `node_plan_base` and
-    /// `staged`, which otherwise hold an older round's tables.
+    /// Whether the previous round's delivery built staging: only then are
+    /// this round's inboxes gathered, reading `plan_ranges`,
+    /// `node_plan_base` and `staged`, which otherwise hold an older
+    /// round's tables; otherwise they read `solo_prev` in place.
     staged_prev: bool,
     /// Per directed arc of each *staged* sender: copies delivered along it
     /// this round.
@@ -502,18 +524,15 @@ impl<'g, P: Protocol> Engine<'g, P> {
     ) -> Self {
         let n = graph.len();
         let arcs = graph.num_arcs();
-        let mut nodes = Vec::with_capacity(n);
-        let mut rngs = Vec::with_capacity(n);
-        for v in 0..n {
-            let seed = node_seed(config.seed, v as u32);
-            let info = NodeInfo {
-                id: NodeId::new(v),
-                degree: graph.degree(NodeId::new(v)),
-                seed,
-            };
-            nodes.push(factory(info));
-            rngs.push(SmallRng::seed_from_u64(seed));
-        }
+        let nodes: Vec<P> = (0..n)
+            .map(|v| {
+                factory(NodeInfo {
+                    id: NodeId::new(v),
+                    degree: graph.degree(NodeId::new(v)),
+                    seed: node_seed(config.seed, v as u32),
+                })
+            })
+            .collect();
         let threads = if config.threads == 0 {
             std::thread::available_parallelism()
                 .map(|p| p.get())
@@ -535,7 +554,7 @@ impl<'g, P: Protocol> Engine<'g, P> {
             churned: None,
             config,
             nodes,
-            rngs,
+            rngs: (0..n).map(|_| None).collect(),
             halted: vec![false; n],
             rev_edge: Vec::new(),
             sinks: (0..chunks).map(|_| ChunkSlot(StageSink::new())).collect(),
@@ -648,7 +667,7 @@ impl<'g, P: Protocol> Engine<'g, P> {
             self.staged_senders = out.staged;
             if trace {
                 let active = self.halted.iter().filter(|h| !**h).count() as u64;
-                let arena_bytes = (out.gathered * std::mem::size_of::<(u32, P::Msg)>()) as u64;
+                let arena_bytes = (out.inbox_entries * std::mem::size_of::<(u32, P::Msg)>()) as u64;
                 // Pool counters are cumulative; the sample carries the
                 // delta since the previous sample (this round's compute
                 // plus the previous round's delivery). Observability
@@ -739,15 +758,16 @@ impl<'g, P: Protocol> Engine<'g, P> {
         self.graph_rebuilds += 1;
     }
 
-    /// Drops the messages in flight, so this round's gathers read empty
-    /// inboxes.
+    /// Drops the messages in flight, so this round's inboxes read empty
+    /// (in place, over an all-`None` solo table).
     fn drop_inflight(&mut self) {
         self.solo_prev.fill(None);
         self.staged_prev = false;
     }
 
-    /// Calls `on_round` on every running node, each with the inbox its
-    /// worker just gathered from the previous round's send tables. Sends
+    /// Calls `on_round` on every running node, each with an inbox over the
+    /// previous round's send tables: the solo table read in place, or,
+    /// after a staged round, the entries its worker just gathered. Sends
     /// stage directly into the flat send arenas through [`StageSink`],
     /// which also performs the fused sender-side accounting — the
     /// per-chunk tallies come back in the returned [`ChunkOut`].
@@ -758,8 +778,8 @@ impl<'g, P: Protocol> Engine<'g, P> {
         pool: Option<&WorkerPool>,
     ) -> ChunkOut {
         let graph = self.churned.as_ref().unwrap_or(self.graph);
-        let faults = &self.config.faults;
-        let check_wire = self.config.check_wire;
+        let config = &self.config;
+        let trace = origin.is_some();
         let chunks = self.chunks;
         let inflight = Inflight {
             solo: &self.solo_prev,
@@ -786,8 +806,8 @@ impl<'g, P: Protocol> Engine<'g, P> {
                 &mut self.solo,
                 &mut self.node_messages,
                 &inflight,
-                faults,
-                check_wire,
+                config,
+                trace,
             );
             if let (Some(s0), Some(o)) = (start, origin) {
                 self.chunk_ticks[0] = (s0, tick_us(o));
@@ -825,7 +845,7 @@ impl<'g, P: Protocol> Engine<'g, P> {
                 let start = origin.map(tick_us);
                 let out = Self::compute_range(
                     graph, round, lo, nc, rc, hc, &mut sk.0, &mut gb.0, runc, sc, mc, inflight,
-                    faults, check_wire,
+                    config, trace,
                 );
                 if let (Some(s0), Some(o)) = (start, origin) {
                     *tick = (s0, tick_us(o));
@@ -845,15 +865,17 @@ impl<'g, P: Protocol> Engine<'g, P> {
                 a.max_message_bits = a.max_message_bits.max(o.max_message_bits);
                 a.wire_ok &= o.wire_ok;
                 a.staged += o.staged;
-                a.gathered += o.gathered;
+                a.inbox_entries += o.inbox_entries;
                 a.byz_rejected += o.byz_rejected;
                 a
             })
     }
 
-    /// [`compute_phase`](Self::compute_phase) over one node chunk: gathers
-    /// each running node's inbox into the chunk's reused `gather` buffer
-    /// and stages its sends into the chunk's send arena.
+    /// [`compute_phase`](Self::compute_phase) over one node chunk: hands
+    /// each running node an inbox — read in place from the solo table, or
+    /// after a staged round gathered into the chunk's reused `gather`
+    /// buffer — and stages its sends into the chunk's send arena. `trace`
+    /// turns on the count of in-place inbox entries for the round sample.
     #[allow(clippy::too_many_arguments)]
     // kw-lint: hot
     fn compute_range(
@@ -861,7 +883,7 @@ impl<'g, P: Protocol> Engine<'g, P> {
         round: usize,
         base: usize,
         nodes: &mut [P],
-        rngs: &mut [SmallRng],
+        rngs: &mut [Option<SmallRng>],
         halted: &mut [bool],
         sink: &mut StageSink<P::Msg>,
         gather: &mut InboxBuf<P::Msg>,
@@ -869,17 +891,18 @@ impl<'g, P: Protocol> Engine<'g, P> {
         solo: &mut [Option<P::Msg>],
         node_messages: &mut [u64],
         inflight: &Inflight<'_, P::Msg>,
-        faults: &ChaosPlan,
-        check_wire: bool,
+        config: &EngineConfig,
+        trace: bool,
     ) -> ChunkOut {
-        sink.reset_round(check_wire);
+        let faults = &config.faults;
+        sink.reset_round(config.check_wire);
         let offsets = graph.offsets();
         let targets = graph.targets();
         let lossless = faults.lossless();
         let has_down = faults.has_down();
         let has_byz = faults.has_byzantine();
         let mut staged = 0usize;
-        let mut gathered = 0usize;
+        let mut inbox_entries = 0usize;
         let mut byz_rejected = 0u64;
         for (j, node) in nodes.iter_mut().enumerate() {
             let v = base + j;
@@ -893,17 +916,31 @@ impl<'g, P: Protocol> Engine<'g, P> {
             }
             let arc_lo = offsets[v] as usize;
             let arc_hi = offsets[v + 1] as usize;
-            inflight.gather(arc_lo, &targets[arc_lo..arc_hi], gather);
-            gathered += gather.len();
+            let ports = &targets[arc_lo..arc_hi];
+            let inbox = if inflight.staged {
+                inflight.gather(arc_lo, ports, gather);
+                inbox_entries += gather.len();
+                InboxSrc::Gathered(&gather[..])
+            } else {
+                let view = InboxSrc::InPlace {
+                    ports,
+                    solo: inflight.solo,
+                };
+                if trace {
+                    inbox_entries += Inbox { src: view }.len();
+                }
+                view
+            };
             let run_start = sink.arena.len();
             let messages_before = sink.messages;
             let mut ctx = Ctx {
                 node: NodeId::new(v),
                 degree: (arc_hi - arc_lo) as u32,
                 round,
-                inbox: &gather[..],
+                inbox,
                 sink: &mut *sink,
                 rng: &mut rngs[j],
+                run_seed: config.seed,
             };
             if node.on_round(&mut ctx) == Status::Halted {
                 halted[j] = true;
@@ -937,7 +974,7 @@ impl<'g, P: Protocol> Engine<'g, P> {
             max_message_bits: sink.max_message_bits,
             wire_ok: sink.wire_ok,
             staged,
-            gathered,
+            inbox_entries,
             byz_rejected,
         }
     }
@@ -984,7 +1021,7 @@ impl<'g, P: Protocol> Engine<'g, P> {
 
     /// Sender-indexed delivery: counts staged deliveries per arc,
     /// prefix-sums them, stages payload clones in sender-major order, then
-    /// hands this round's tables to the next round's gathers. The entire
+    /// hands this round's tables to the next round's inboxes. The entire
     /// staging half is skipped when the round had no staged senders (the
     /// broadcast-heavy common case), leaving only the swap.
     // kw-lint: hot
@@ -1021,8 +1058,9 @@ impl<'g, P: Protocol> Engine<'g, P> {
             kw_trace::with_active(|t| t.end_parallel("send", ticks));
             kw_trace::with_active(|t| t.begin("deliver"));
         }
-        // Nothing is copied per message: the next round's gathers read
-        // this round's solo table and, when it was built, its staging.
+        // Nothing is copied per message: the next round's inboxes read
+        // this round's solo table in place or, when staging was built,
+        // gather from it and the staging.
         std::mem::swap(&mut self.solo, &mut self.solo_prev);
         self.staged_prev = built;
         if trace {
@@ -1466,6 +1504,7 @@ mod tests {
     use super::*;
     use crate::wire::{BitReader, BitWriter};
     use kw_graph::generators;
+    use rand::SeedableRng;
 
     /// Each node floods the maximum id it has seen for `rounds` rounds.
     struct MaxFlood {
@@ -1558,6 +1597,51 @@ mod tests {
             assert_eq!(bits, report.metrics.bits, "threads={threads}");
             assert!(messages > 0);
         }
+    }
+
+    /// A traced round samples the inbox entries handed to `on_round`,
+    /// in-place inboxes included: on a reliable flood every node hears
+    /// each copy its neighbors broadcast the round before.
+    #[test]
+    fn trace_arena_bytes_count_in_place_inboxes() {
+        let mut rng = SmallRng::seed_from_u64(5);
+        let g = generators::gnp(80, 0.08, &mut rng);
+        let entry = std::mem::size_of::<(u32, u64)>() as u64;
+        for threads in [1usize, 4] {
+            kw_trace::install(kw_trace::Tracer::new());
+            flood_report(
+                &g,
+                3,
+                EngineConfig {
+                    threads,
+                    ..Default::default()
+                },
+            );
+            let mut t = kw_trace::take().expect("tracer still installed");
+            t.finish();
+            let samples = t.samples();
+            assert_eq!(samples[0].arena_bytes, 0, "threads={threads}");
+            for r in 1..samples.len() {
+                assert_eq!(
+                    samples[r].arena_bytes,
+                    samples[r - 1].messages * entry,
+                    "round {r}, threads={threads}"
+                );
+            }
+        }
+    }
+
+    /// RNG slots are seeded on a node's first draw, so a protocol that
+    /// never draws leaves every slot empty.
+    #[test]
+    fn rngs_stay_unseeded_without_draws() {
+        let g = generators::cycle(12);
+        let mut engine = Engine::new(&g, EngineConfig::seeded(3), |info| MaxFlood {
+            best: info.id.raw() as u64,
+            rounds_left: 3,
+        });
+        engine.drive(&mut ()).expect("flood terminates");
+        assert!(engine.rngs.iter().all(Option::is_none));
     }
 
     #[test]
@@ -2443,7 +2527,7 @@ mod tests {
         // Drive the same engine value twice via the internal API (public
         // `run` consumes the engine, so stale state across `drive` calls
         // is the actual hazard): the second drive — with node programs,
-        // RNGs, and halt flags re-armed — must reproduce the first run's
+        // RNG slots, and halt flags re-armed — must reproduce the first run's
         // metrics exactly even though arenas, staging buffers, and plan
         // tables still hold the previous run's data.
         let mut rng = <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(13);
@@ -2469,8 +2553,7 @@ mod tests {
                 best: node as u64,
                 rounds_left: 5,
             };
-            let seed = crate::rng::node_seed(twice.config.seed, node as u32);
-            twice.rngs[node] = SmallRng::seed_from_u64(seed);
+            twice.rngs[node] = None;
         }
         let m2 = twice.drive(&mut ()).expect("flood terminates");
         assert_eq!(m1.rounds, m2.rounds);

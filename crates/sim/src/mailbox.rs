@@ -25,13 +25,19 @@
 //! business (see [`ChaosPlan`](crate::ChaosPlan)).
 
 use rand::rngs::SmallRng;
+use rand::SeedableRng;
 
 use kw_graph::NodeId;
 
+use crate::rng::node_seed;
+
 /// Outbound message staged by a node during a round.
 ///
-/// A broadcast is materialized once in the send arena; the engine clones
-/// it only into the gathered inbox of each receiver it is delivered to.
+/// A broadcast is materialized once in the send arena. A solo broadcast
+/// is also cloned into the dense solo table; every other send is cloned
+/// into staging once per delivered copy. After a round that staged
+/// nothing, receivers read the solo table in place; after a round that
+/// did, each receiver gathers clones of what it was delivered.
 #[derive(Clone, Debug)]
 pub(crate) enum Outbound<M> {
     /// Same payload to every neighbor (still counted as `degree` messages,
@@ -81,27 +87,71 @@ pub trait Sink<M> {
 ///
 /// Port `p` of node `v` identifies `v`'s `p`-th neighbor (in ascending id
 /// order, though protocols must not rely on the order meaning anything —
-/// the LOCAL model only guarantees stable port numbering).
+/// the LOCAL model only guarantees stable port numbering). Iteration
+/// yields messages in ascending port order, and a port's messages in the
+/// sender's send order.
+///
+/// When the previous round delivered only solo broadcasts (one broadcast
+/// per sender, on a lossless plan), the inbox reads the engine's solo
+/// table in place through this node's ports instead of a gathered copy:
+/// iteration skips quiet ports as it goes, and [`len`](Self::len) and
+/// [`is_empty`](Self::is_empty) count on demand in `O(degree)`.
 #[derive(Debug)]
 pub struct Inbox<'a, M> {
-    pub(crate) items: &'a [(u32, M)],
+    pub(crate) src: InboxSrc<'a, M>,
 }
 
+/// Where an [`Inbox`] reads its messages.
+#[derive(Debug)]
+pub(crate) enum InboxSrc<'a, M> {
+    /// `(port, message)` pairs gathered into a buffer, in `(port, slot)`
+    /// order.
+    Gathered(&'a [(u32, M)]),
+    /// The previous round's solo table, read in place: port `q` carries
+    /// `solo[ports[q]]` when that entry is `Some`, and nothing otherwise.
+    InPlace {
+        ports: &'a [u32],
+        solo: &'a [Option<M>],
+    },
+}
+
+// Manual impls: both variants hold only shared references, so copying
+// needs no `M: Copy`.
+impl<M> Clone for InboxSrc<'_, M> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<M> Copy for InboxSrc<'_, M> {}
+
 impl<'a, M> Inbox<'a, M> {
-    /// Number of messages received.
+    /// Number of messages received (`O(degree)` for an in-place inbox).
     pub fn len(&self) -> usize {
-        self.items.len()
+        match self.src {
+            InboxSrc::Gathered(items) => items.len(),
+            InboxSrc::InPlace { ports, solo } => ports
+                .iter()
+                .filter(|&&u| solo[u as usize].is_some())
+                .count(),
+        }
     }
 
-    /// Whether no messages arrived.
+    /// Whether no messages arrived (`O(degree)` for an in-place inbox).
     pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        self.iter().next().is_none()
     }
 
     /// Iterates over `(port, message)` pairs.
     pub fn iter(&self) -> InboxIter<'a, M> {
         InboxIter {
-            inner: self.items.iter(),
+            inner: match self.src {
+                InboxSrc::Gathered(items) => IterSrc::Gathered(items.iter()),
+                InboxSrc::InPlace { ports, solo } => IterSrc::InPlace {
+                    ports: ports.iter().enumerate(),
+                    solo,
+                },
+            },
         }
     }
 }
@@ -111,31 +161,60 @@ impl<'a, M> IntoIterator for Inbox<'a, M> {
     type IntoIter = InboxIter<'a, M>;
 
     fn into_iter(self) -> Self::IntoIter {
-        InboxIter {
-            inner: self.items.iter(),
-        }
+        self.iter()
     }
 }
 
 /// Iterator over `(port, message)` pairs, created by [`Inbox::iter`].
 #[derive(Debug)]
 pub struct InboxIter<'a, M> {
-    inner: std::slice::Iter<'a, (u32, M)>,
+    inner: IterSrc<'a, M>,
+}
+
+#[derive(Debug)]
+enum IterSrc<'a, M> {
+    Gathered(std::slice::Iter<'a, (u32, M)>),
+    InPlace {
+        ports: std::iter::Enumerate<std::slice::Iter<'a, u32>>,
+        solo: &'a [Option<M>],
+    },
+}
+
+// Manual impl: cloning the slice iterators needs no `M: Clone`.
+impl<M> Clone for InboxIter<'_, M> {
+    fn clone(&self) -> Self {
+        InboxIter {
+            inner: match &self.inner {
+                IterSrc::Gathered(items) => IterSrc::Gathered(items.clone()),
+                IterSrc::InPlace { ports, solo } => IterSrc::InPlace {
+                    ports: ports.clone(),
+                    solo,
+                },
+            },
+        }
+    }
 }
 
 impl<'a, M> Iterator for InboxIter<'a, M> {
     type Item = (u32, &'a M);
 
     fn next(&mut self) -> Option<Self::Item> {
-        self.inner.next().map(|(p, m)| (*p, m))
+        match &mut self.inner {
+            IterSrc::Gathered(items) => items.next().map(|(p, m)| (*p, m)),
+            IterSrc::InPlace { ports, solo } => {
+                let solo: &'a [Option<M>] = solo;
+                ports.find_map(|(q, &u)| solo[u as usize].as_ref().map(|m| (q as u32, m)))
+            }
+        }
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        self.inner.size_hint()
+        match &self.inner {
+            IterSrc::Gathered(items) => items.size_hint(),
+            IterSrc::InPlace { ports, .. } => (0, Some(ports.len())),
+        }
     }
 }
-
-impl<M> ExactSizeIterator for InboxIter<'_, M> {}
 
 /// Everything a node may see and do during one round: its identity and
 /// degree, the inbox, the send sink, and a private RNG.
@@ -152,9 +231,12 @@ pub struct Ctx<'a, M> {
     pub(crate) node: NodeId,
     pub(crate) degree: u32,
     pub(crate) round: usize,
-    pub(crate) inbox: &'a [(u32, M)],
+    pub(crate) inbox: InboxSrc<'a, M>,
     pub(crate) sink: &'a mut crate::engine::StageSink<M>,
-    pub(crate) rng: &'a mut SmallRng,
+    /// This node's RNG slot, `None` until the node's first [`Ctx::rng`].
+    pub(crate) rng: &'a mut Option<SmallRng>,
+    /// The run seed the slot is seeded from.
+    pub(crate) run_seed: u64,
 }
 
 impl<M> std::fmt::Debug for Ctx<'_, M> {
@@ -163,7 +245,7 @@ impl<M> std::fmt::Debug for Ctx<'_, M> {
             .field("node", &self.node)
             .field("degree", &self.degree)
             .field("round", &self.round)
-            .field("inbox_len", &self.inbox.len())
+            .field("inbox_len", &self.inbox().len())
             .finish_non_exhaustive()
     }
 }
@@ -184,16 +266,12 @@ impl<'a, M> Ctx<'a, M> {
         self.round
     }
 
-    /// Messages delivered this round.
+    /// Messages delivered this round. After a round of only solo
+    /// broadcasts the inbox reads the engine's solo table in place;
+    /// otherwise the engine gathered it for this node just before the
+    /// round (see [`Inbox`]).
     pub fn inbox(&self) -> Inbox<'_, M> {
-        Inbox { items: self.inbox }
-    }
-
-    /// The raw inbox slice, borrowed for the whole round rather than for
-    /// this call — lets protocols that embed other protocols keep reading
-    /// messages while queueing sends.
-    pub fn inbox_slice(&self) -> &'a [(u32, M)] {
-        self.inbox
+        Inbox { src: self.inbox }
     }
 
     /// Stages `msg` for delivery to every neighbor next round — one copy
@@ -234,9 +312,14 @@ impl<'a, M> Ctx<'a, M> {
     }
 
     /// Private per-node RNG, deterministically seeded from the run seed and
-    /// the node id.
+    /// the node id (the seed [`NodeInfo::seed`](crate::NodeInfo::seed)
+    /// reports). It is seeded on the node's first call, so a protocol
+    /// that never draws pays nothing for it; the stream is the same in
+    /// whichever round that call comes.
     pub fn rng(&mut self) -> &mut SmallRng {
+        let (run_seed, node) = (self.run_seed, self.node.raw());
         self.rng
+            .get_or_insert_with(|| SmallRng::seed_from_u64(node_seed(run_seed, node)))
     }
 }
 
@@ -244,13 +327,13 @@ impl<'a, M> Ctx<'a, M> {
 mod tests {
     use super::*;
     use crate::engine::StageSink;
-    use rand::SeedableRng;
+    use rand::Rng;
 
     fn ctx<'a>(
         degree: u32,
-        inbox: &'a [(u32, u64)],
+        inbox: InboxSrc<'a, u64>,
         sink: &'a mut StageSink<u64>,
-        rng: &'a mut SmallRng,
+        rng: &'a mut Option<SmallRng>,
     ) -> Ctx<'a, u64> {
         Ctx {
             node: NodeId::new(0),
@@ -259,6 +342,7 @@ mod tests {
             inbox,
             sink,
             rng,
+            run_seed: 9,
         }
     }
 
@@ -266,8 +350,8 @@ mod tests {
     fn accessors() {
         let inbox = vec![(0u32, 7u64), (1, 9)];
         let mut sink = StageSink::new();
-        let mut rng = SmallRng::seed_from_u64(0);
-        let c = ctx(2, &inbox, &mut sink, &mut rng);
+        let mut rng = None;
+        let c = ctx(2, InboxSrc::Gathered(&inbox), &mut sink, &mut rng);
         assert_eq!(c.node(), NodeId::new(0));
         assert_eq!(c.degree(), 2);
         assert_eq!(c.round(), 3);
@@ -277,12 +361,70 @@ mod tests {
         assert_eq!(got, vec![7, 9]);
     }
 
+    /// An in-place inbox reads the solo table through the node's ports:
+    /// ascending ports, quiet senders skipped, and `len`/`is_empty`
+    /// agreeing with what `iter` yields.
+    #[test]
+    fn in_place_inbox_skips_quiet_ports_in_port_order() {
+        let ports = [1u32, 2, 4, 7];
+        let mut solo = vec![None; 8];
+        solo[1] = Some(11u64);
+        solo[4] = Some(44);
+        solo[7] = Some(77);
+        let mut sink = StageSink::new();
+        let mut rng = None;
+        let c = ctx(
+            4,
+            InboxSrc::InPlace {
+                ports: &ports,
+                solo: &solo,
+            },
+            &mut sink,
+            &mut rng,
+        );
+        let got: Vec<(u32, u64)> = c.inbox().iter().map(|(q, &m)| (q, m)).collect();
+        assert_eq!(got, vec![(0, 11), (2, 44), (3, 77)]);
+        assert_eq!(c.inbox().len(), c.inbox().iter().count());
+        assert!(!c.inbox().is_empty());
+        // A clone taken mid-way resumes where the original stands.
+        let mut it = c.inbox().iter();
+        it.next();
+        assert_eq!(it.clone().map(|(q, _)| q).collect::<Vec<_>>(), vec![2, 3]);
+
+        let quiet = vec![None; 8];
+        let c = ctx(
+            4,
+            InboxSrc::InPlace {
+                ports: &ports,
+                solo: &quiet,
+            },
+            &mut sink,
+            &mut rng,
+        );
+        assert_eq!(c.inbox().iter().count(), 0);
+        assert_eq!(c.inbox().len(), 0);
+        assert!(c.inbox().is_empty());
+    }
+
+    /// The RNG slot stays empty until the node's first draw, which seeds
+    /// it with the node's `node_seed` stream.
+    #[test]
+    fn rng_is_seeded_on_first_call() {
+        let mut sink = StageSink::new();
+        let mut rng = None;
+        let mut c = ctx(0, InboxSrc::Gathered(&[]), &mut sink, &mut rng);
+        let drawn: u64 = c.rng().gen();
+        let mut expected = SmallRng::seed_from_u64(node_seed(9, 0));
+        assert_eq!(drawn, expected.gen::<u64>());
+        assert_eq!(c.rng().gen::<u64>(), expected.gen::<u64>());
+        assert!(rng.is_some());
+    }
+
     #[test]
     fn send_and_broadcast_stage_in_call_order() {
-        let inbox = vec![];
         let mut sink = StageSink::new();
-        let mut rng = SmallRng::seed_from_u64(0);
-        let mut c = ctx(2, &inbox, &mut sink, &mut rng);
+        let mut rng = None;
+        let mut c = ctx(2, InboxSrc::Gathered(&[]), &mut sink, &mut rng);
         c.broadcast(1);
         c.send(1, 2);
         assert_eq!(sink.arena.len(), 2);
@@ -301,10 +443,9 @@ mod tests {
     /// is never even called, and nothing is charged.
     #[test]
     fn broadcast_on_isolated_node_is_a_noop() {
-        let inbox = vec![];
         let mut sink = StageSink::new();
-        let mut rng = SmallRng::seed_from_u64(0);
-        let mut c = ctx(0, &inbox, &mut sink, &mut rng);
+        let mut rng = None;
+        let mut c = ctx(0, InboxSrc::Gathered(&[]), &mut sink, &mut rng);
         c.broadcast(5);
         assert!(sink.arena.is_empty());
         assert_eq!(sink.messages, 0);
@@ -316,10 +457,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn send_validates_port() {
-        let inbox = vec![];
         let mut sink = StageSink::new();
-        let mut rng = SmallRng::seed_from_u64(0);
-        ctx(2, &inbox, &mut sink, &mut rng).send(2, 0);
+        let mut rng = None;
+        ctx(2, InboxSrc::Gathered(&[]), &mut sink, &mut rng).send(2, 0);
     }
 
     /// On an isolated node every port is invalid, so `send` panics where
@@ -328,9 +468,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn send_from_isolated_node_panics() {
-        let inbox = vec![];
         let mut sink = StageSink::new();
-        let mut rng = SmallRng::seed_from_u64(0);
-        ctx(0, &inbox, &mut sink, &mut rng).send(0, 0);
+        let mut rng = None;
+        ctx(0, InboxSrc::Gathered(&[]), &mut sink, &mut rng).send(0, 0);
     }
 }

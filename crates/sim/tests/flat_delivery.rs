@@ -12,8 +12,9 @@
 //! exact sequence (hence the exact multiset) on random G(n, p), star, and
 //! complete graphs, with and without faults, at 1, 2 and 8 threads, so
 //! every chunk layout's gather — cross-chunk staged reads included — is
-//! held to the model; a separate test pins thread-count determinism on a
-//! high-Δ graph with faults enabled.
+//! held to the model, and so are the in-place inboxes of rounds that
+//! follow solo-only traffic; a separate test pins thread-count
+//! determinism on a high-Δ graph with faults enabled.
 
 use kw_graph::{generators, CsrGraph, NodeId};
 use kw_sim::rng::split_mix64;
@@ -39,6 +40,13 @@ enum Flavor {
     /// and often repeated — multiple messages must land on one arc in
     /// send-slot order, the hardest case for the per-arc plan cursors.
     Burst,
+    /// Each node is quiet or sends one broadcast per round. On a
+    /// reliable plan every sender is solo, nothing is staged, and every
+    /// inbox reads the solo table in place.
+    Solo,
+    /// `Solo` on even rounds and `Mixed` on odd ones, so in-place and
+    /// gathered inboxes alternate.
+    Alternating,
 }
 
 /// The messages node `me` stages in `round`, as a pure function — both
@@ -77,6 +85,15 @@ fn script(me: u32, round: usize, degree: u32, flavor: Flavor) -> Vec<Send> {
                 })
                 .collect()
         }
+        Flavor::Solo => {
+            if h.is_multiple_of(3) {
+                Vec::new()
+            } else {
+                vec![Send::Broadcast(split_mix64(h ^ (1 << 48)) | 1)]
+            }
+        }
+        Flavor::Alternating if round.is_multiple_of(2) => script(me, round, degree, Flavor::Solo),
+        Flavor::Alternating => script(me, round, degree, Flavor::Mixed),
     }
 }
 
@@ -215,6 +232,9 @@ proptest! {
         for threads in THREADS {
             assert_matches_reference(&g, 6, ChaosPlan::reliable(), Flavor::Mixed, threads);
             assert_matches_reference(&g, 6, ChaosPlan::reliable().with_drop(0.3).with_fault_seed(seed ^ 0x5ca1ab1e), Flavor::Mixed, threads);
+            // Reliable only: under loss no sender is solo.
+            assert_matches_reference(&g, 6, ChaosPlan::reliable(), Flavor::Solo, threads);
+            assert_matches_reference(&g, 6, ChaosPlan::reliable(), Flavor::Alternating, threads);
         }
     }
 
@@ -224,6 +244,8 @@ proptest! {
         for threads in THREADS {
             assert_matches_reference(&g, 5, ChaosPlan::reliable(), Flavor::Mixed, threads);
             assert_matches_reference(&g, 5, ChaosPlan::reliable().with_drop(0.4).with_fault_seed(fault_seed), Flavor::Mixed, threads);
+            assert_matches_reference(&g, 5, ChaosPlan::reliable(), Flavor::Solo, threads);
+            assert_matches_reference(&g, 5, ChaosPlan::reliable(), Flavor::Alternating, threads);
         }
     }
 
@@ -260,18 +282,26 @@ proptest! {
 }
 
 /// High-Δ graph (star of cliques: hub degree ≫ average) with faults on:
-/// every thread count must produce the identical report, for both traffic
-/// flavors. The chunked send arenas make per-chunk run indices
+/// every thread count must produce the identical report, for each traffic
+/// flavor. The chunked send arenas make per-chunk run indices
 /// layout-dependent, so this pins that the dense run table fully hides
-/// the layout.
+/// the layout. The solo case runs under a crash window, which is
+/// lossless (so its inboxes read the solo table in place) but has a down
+/// node.
 #[test]
 fn thread_count_determinism_high_degree_with_faults() {
     let g = generators::star_of_cliques(12, 24);
-    let base = EngineConfig {
-        faults: ChaosPlan::reliable().with_drop(0.25).with_fault_seed(99),
-        ..Default::default()
-    };
-    for flavor in [Flavor::Mixed, Flavor::Burst] {
+    let lossy = ChaosPlan::reliable().with_drop(0.25).with_fault_seed(99);
+    let crash = ChaosPlan::parse("crash=7@r2-4").expect("valid chaos spec");
+    for (flavor, faults) in [
+        (Flavor::Mixed, lossy.clone()),
+        (Flavor::Burst, lossy),
+        (Flavor::Solo, crash),
+    ] {
+        let base = EngineConfig {
+            faults,
+            ..Default::default()
+        };
         let reference = run_scripted(
             &g,
             9,

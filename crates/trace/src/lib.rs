@@ -6,8 +6,9 @@
 //! as monotonic microsecond tick pairs in flat per-track buffers — no
 //! locks on the record path, no allocation per span beyond amortized
 //! `Vec` growth — plus a per-round counter series ([`RoundSample`]:
-//! messages, bits, active nodes, gathered inbox bytes, plane rebuilds,
-//! and worker-pool wakeup/idle diagnostics) sampled at round boundaries.
+//! messages, bits, active nodes, bytes of inbox handed to `on_round`,
+//! plane rebuilds, and worker-pool wakeup/idle diagnostics) sampled at
+//! round boundaries.
 //!
 //! ## Activation model
 //!
@@ -51,8 +52,9 @@ use std::time::Instant;
 /// `plan` = the sequential per-arc delivery count/prefix pass, `send` =
 /// parallel sender-major staging, `deliver` = the sequential swap that
 /// hands a round's send tables to the next round (no per-message copy),
-/// `compute` = the parallel pass that gathers each node's inbox and runs
-/// its `on_round`, `barrier` = synchronization overhead of the parallel
+/// `compute` = the parallel pass that runs each node's `on_round` over
+/// its inbox (read in place, or gathered first after a round that staged
+/// traffic), `barrier` = synchronization overhead of the parallel
 /// phases (epoch-publish lead + done-wait tail on the persistent worker
 /// pool, synthesized by [`Tracer::end_parallel`]).
 pub const PHASES: [&str; 5] = ["plan", "send", "deliver", "compute", "barrier"];
@@ -99,9 +101,11 @@ pub struct RoundSample {
     /// Nodes still running (not halted) after this round's compute.
     pub active: u64,
     /// Bytes of inbox handed to this round's `on_round` calls: the
-    /// entries every worker gathered, times `size_of::<(u32, Msg)>` —
-    /// delivered traffic, not capacity, so the value is thread-count
-    /// invariant.
+    /// entries every computing node received, gathered or read in place,
+    /// times `size_of::<(u32, Msg)>` — delivered traffic, not capacity
+    /// and not bytes copied (an in-place inbox copies nothing), so the
+    /// value is thread-count invariant. The engine counts in-place
+    /// entries only while a tracer is installed.
     pub arena_bytes: u64,
     /// Cumulative churn-forced message-plane rebuilds so far.
     pub rebuilds: u64,

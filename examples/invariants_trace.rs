@@ -5,6 +5,7 @@
 //! `a(v) ≥ (Δ+1)^{3/4}` active neighbors are covered first, then those
 //! with `a(v) ≥ (Δ+1)^{2/4}`, and so on — a staircase of thresholds. The
 //! cascade table below reproduces that staircase on a two-scale graph.
+//! The example exits with an error if either checker reports a violation.
 //!
 //! ```text
 //! cargo run --example invariants_trace
@@ -43,7 +44,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{}", report3.cascade);
     match report3.violations.len() {
         0 => println!("invariants: Lemmas 5, 6, 7 held at every checkpoint ✓"),
-        n => println!("invariants: {n} violations!"),
+        n => {
+            println!("invariants: {n} violations!");
+            for v in &report3.violations {
+                println!("  {v}");
+            }
+        }
     }
     println!(
         "\nΣx: alg2 = {:.2}, alg3 = {:.2}; bounds {:.1} / {:.1} × LP_OPT",
@@ -52,5 +58,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         kw_core::math::alg2_lp_bound(k, g.max_degree()),
         kw_core::math::alg3_lp_bound(k, g.max_degree()),
     );
+    if !(report.is_clean() && report3.is_clean()) {
+        return Err("an invariant checker reported violations".into());
+    }
     Ok(())
 }

@@ -333,9 +333,16 @@
 //!   and chunk imbalance are first-class measurements rather than
 //!   inferred gaps;
 //! * **per-round counter series** — [`RoundSample`](kw_trace::RoundSample)
-//!   carries messages, bits, active nodes, gathered inbox bytes, and
-//!   graph rebuilds per round, a time series the scalar `RunMetrics`
-//!   totals cannot express.
+//!   carries messages, bits, active nodes, inbox bytes handed to
+//!   `on_round` (gathered or read in place), and graph rebuilds per
+//!   round, a time series the scalar `RunMetrics` totals cannot express.
+//!
+//! **Migration note.** `Ctx::inbox_slice` is gone: after a round of only
+//! solo broadcasts, an inbox reads the engine's solo table in place and
+//! no gathered slice exists. Replace `ctx.inbox_slice()` with
+//! `ctx.inbox()` and finish reading it before calling `ctx.broadcast` or
+//! `ctx.send`. `InboxIter` is no longer `ExactSizeIterator`;
+//! `Inbox::len` counts an in-place inbox in `O(degree)`.
 //!
 //! Instrumentation sites use [`kw_trace::with_active`], which is a
 //! single thread-local check when no tracer is installed — a paired A/B
