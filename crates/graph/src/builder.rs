@@ -1,9 +1,14 @@
+use std::collections::HashSet;
+
 use crate::{CsrGraph, GraphError};
 
 /// Incremental, validating constructor for [`CsrGraph`].
 ///
-/// Collects undirected edges, rejecting self loops and duplicates eagerly,
-/// then sorts adjacency into CSR form in `build`.
+/// Collects undirected edges, rejecting out-of-range endpoints and self
+/// loops eagerly; [`add_edge`](Self::add_edge) also rejects duplicates
+/// eagerly. [`build`](Self::build) sorts the edges only when they arrive
+/// out of order, merges repeats, and writes every adjacency list already
+/// sorted.
 ///
 /// # Example
 ///
@@ -20,8 +25,11 @@ use crate::{CsrGraph, GraphError};
 #[derive(Clone, Debug, Default)]
 pub struct GraphBuilder {
     n: usize,
-    /// Edges normalized to `(min, max)`.
+    /// Edges normalized to `(min, max)`, in insertion order.
     edges: Vec<(u32, u32)>,
+    /// The edges [`add_edge`](Self::add_edge) accepted, for its duplicate
+    /// check; empty while only unchecked adds are used.
+    accepted: HashSet<(u32, u32)>,
 }
 
 impl GraphBuilder {
@@ -29,7 +37,7 @@ impl GraphBuilder {
     pub fn new(n: usize) -> Self {
         GraphBuilder {
             n,
-            edges: Vec::new(),
+            ..Self::default()
         }
     }
 
@@ -48,25 +56,24 @@ impl GraphBuilder {
         self.edges.len()
     }
 
-    /// Adds the undirected edge `{u, v}`.
+    /// Adds the undirected edge `{u, v}`, rejecting it if an earlier
+    /// `add_edge` call accepted the same edge in either orientation.
     ///
-    /// Duplicate detection is deferred to [`build`](Self::build) for edges
-    /// added through [`add_edge_unchecked_duplicate`]; this method checks
-    /// nothing beyond range and loops eagerly but catches duplicates in
-    /// `build` as a panic-free error path would complicate the hot loop of
-    /// generators. Instead duplicates are detected here via a sorted probe
-    /// only in debug builds and always at `build` time.
+    /// The duplicate check is a hash-set probe, expected `O(1)`. It sees
+    /// only edges this method accepted: an edge added through
+    /// [`add_edge_unchecked_duplicate`] and again here is kept twice and
+    /// merged by [`build`](Self::build), like any unchecked repeat.
     ///
     /// # Errors
     ///
-    /// [`GraphError::NodeOutOfRange`] or [`GraphError::SelfLoop`]; duplicate
-    /// edges are reported by the eager scan as [`GraphError::DuplicateEdge`].
+    /// [`GraphError::NodeOutOfRange`], [`GraphError::SelfLoop`] or
+    /// [`GraphError::DuplicateEdge`]; a rejected edge is not added.
     ///
     /// [`add_edge_unchecked_duplicate`]: Self::add_edge_unchecked_duplicate
     pub fn add_edge(&mut self, u: usize, v: usize) -> Result<(), GraphError> {
         self.validate_endpoints(u, v)?;
         let key = Self::normalize(u, v);
-        if self.edges.contains(&key) {
+        if !self.accepted.insert(key) {
             return Err(GraphError::DuplicateEdge {
                 a: key.0 as usize,
                 b: key.1 as usize,
@@ -76,13 +83,13 @@ impl GraphBuilder {
         Ok(())
     }
 
-    /// Adds the undirected edge `{u, v}` without scanning for duplicates.
+    /// Adds the undirected edge `{u, v}` without checking for duplicates.
     ///
     /// Generators that are duplicate-free by construction (grids, trees,
-    /// G(n,p) upper-triangle sweeps) use this to avoid the `O(m)` probe of
-    /// [`add_edge`](Self::add_edge). `build` deduplicates defensively, so a
-    /// violated promise degrades to a slightly smaller graph, never a corrupt
-    /// one.
+    /// G(n,p) lower-triangle sweeps) and callers that deduplicate
+    /// themselves use this to skip [`add_edge`](Self::add_edge)'s hash-set
+    /// probe. `build` merges repeats, so a violated promise degrades to a
+    /// slightly smaller graph, never a corrupt one.
     ///
     /// # Errors
     ///
@@ -118,44 +125,40 @@ impl GraphBuilder {
         (a as u32, b as u32)
     }
 
-    /// Finalizes the builder into an immutable [`CsrGraph`].
+    /// Finalizes the builder into an immutable [`CsrGraph`] in `O(n + m)`
+    /// when the edges arrive in `(max, min)` or `(min, max)` order, and in
+    /// `O(m log m)` otherwise.
     ///
-    /// Sorts and deduplicates edges, then lays out CSR arrays.
+    /// Edges already in `(max, min)` order (a lower-triangle sweep such as
+    /// [`gnp`](crate::generators::gnp)'s) are kept as they are; anything
+    /// else is sorted into `(min, max)` order, a linear pass when it is
+    /// already in that order. Repeats are merged, then each list is filled
+    /// with its lower neighbors before its higher ones: under either order
+    /// both halves arrive ascending, so no list needs sorting.
     pub fn build(mut self) -> CsrGraph {
-        self.edges.sort_unstable();
+        if !self.edges.is_sorted_by_key(|&(a, b)| (b, a)) {
+            self.edges.sort_unstable();
+        }
         self.edges.dedup();
         let n = self.n;
-        let mut degree = vec![0u32; n];
+        let mut offsets = vec![0u32; n + 1];
         for &(a, b) in &self.edges {
-            degree[a as usize] += 1;
-            degree[b as usize] += 1;
+            offsets[a as usize + 1] += 1;
+            offsets[b as usize + 1] += 1;
         }
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0u32);
-        let mut acc = 0u32;
-        for d in &degree {
-            acc += d;
-            offsets.push(acc);
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
         }
         let mut cursor: Vec<u32> = offsets[..n].to_vec();
-        let mut targets = vec![0u32; acc as usize];
-        // Edges are sorted by (a, b); writing b into a's list in this order
-        // keeps a's list sorted. b's list receives a values in sorted order
-        // as well because a is the primary sort key.
-        for &(a, b) in &self.edges {
-            targets[cursor[a as usize] as usize] = b;
-            cursor[a as usize] += 1;
-        }
+        let mut targets = vec![0u32; offsets[n] as usize];
+        // Lower neighbors first, then higher ones.
         for &(a, b) in &self.edges {
             targets[cursor[b as usize] as usize] = a;
             cursor[b as usize] += 1;
         }
-        // The second pass appends `a`s after `b`s in each list, so lists are
-        // two sorted runs; merge by sorting each list (cheap, lists are
-        // typically short and nearly sorted).
-        for v in 0..n {
-            let (lo, hi) = (offsets[v] as usize, offsets[v + 1] as usize);
-            targets[lo..hi].sort_unstable();
+        for &(a, b) in &self.edges {
+            targets[cursor[a as usize] as usize] = b;
+            cursor[a as usize] += 1;
         }
         CsrGraph::from_parts(offsets, targets)
     }

@@ -18,7 +18,7 @@
 
 use std::collections::BTreeSet;
 
-use crate::CsrGraph;
+use crate::{CsrGraph, GraphBuilder};
 
 /// One churn mutation kind.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -75,8 +75,14 @@ pub fn apply_churn(g: &CsrGraph, events: &[ChurnEvent]) -> CsrGraph {
             }
         }
     }
-    CsrGraph::from_edges(n, edges.iter().map(|&(u, v)| (u as usize, v as usize)))
-        .expect("churned edge set is deduplicated, in range, and loop-free")
+    // The set is duplicate-free, so no duplicate probe is needed, and it
+    // iterates in (min, max) order, on which the build's sort is linear.
+    let mut b = GraphBuilder::new(n);
+    for &(u, v) in &edges {
+        b.add_edge_unchecked_duplicate(u as usize, v as usize)
+            .expect("churned edges are in range and loop-free");
+    }
+    b.build()
 }
 
 /// The sorted, deduplicated set of rounds at which `events` fire — the

@@ -325,7 +325,8 @@ pub fn random_regular<R: Rng + ?Sized>(n: usize, d: usize, rng: &mut R) -> CsrGr
 /// independently with probability `p`.
 ///
 /// Uses geometric gap-skipping, so the cost is `O(n + m)` rather than
-/// `O(n²)` for sparse graphs.
+/// `O(n²)` for sparse graphs: the sweep emits edges in the `(max, min)`
+/// order that [`GraphBuilder::build`] takes without sorting.
 ///
 /// # Panics
 ///
@@ -395,8 +396,9 @@ pub fn gnm<R: Rng + ?Sized>(n: usize, m: usize, rng: &mut R) -> CsrGraph {
 /// `radius`.
 ///
 /// This is the standard connectivity model for the wireless ad-hoc networks
-/// that motivate the paper (Section 1). Uses spatial hashing, so the cost is
-/// `O(n + m)` in expectation.
+/// that motivate the paper (Section 1). Spatial hashing finds the edges in
+/// `O(n + m)` expected time; they arrive in hash-bucket order, so the CSR
+/// build sorts them in `O(m log m)`.
 ///
 /// # Panics
 ///

@@ -57,7 +57,6 @@
 //! # Ok::<(), kw_graph::GraphError>(())
 //! ```
 
-use std::collections::HashSet;
 use std::fmt::Write as _;
 
 use crate::{CsrGraph, GraphBuilder, GraphError};
@@ -230,9 +229,6 @@ fn parse_dimacs_inner(text: &str, mode: DimacsMode) -> Result<(CsrGraph, DimacsS
     let lenient = mode == DimacsMode::Lenient;
     let mut builder: Option<GraphBuilder> = None;
     let mut stats = DimacsStats::default();
-    // Normalized `(min, max)` endpoint pairs already added, for lenient
-    // deduplication (strict mode lets the builder reject duplicates).
-    let mut seen: HashSet<(u32, u32)> = HashSet::new();
     for (idx, raw) in text.lines().enumerate() {
         let line_no = idx + 1;
         let line = raw.trim();
@@ -301,26 +297,13 @@ fn parse_dimacs_inner(text: &str, mode: DimacsMode) -> Result<(CsrGraph, DimacsS
                     });
                 }
                 stats.edge_lines += 1;
-                if lenient {
-                    // Range errors stay fatal even here: an endpoint past
-                    // the declared node count is a broken file.
-                    for id in [u, v] {
-                        if id >= b.len() {
-                            return Err(GraphError::NodeOutOfRange {
-                                node: id,
-                                len: b.len(),
-                            });
-                        }
-                    }
-                    if u == v {
-                        stats.self_loops += 1;
-                    } else if !seen.insert(normalize_pair(u, v)) {
-                        stats.duplicate_edges += 1;
-                    } else {
-                        b.add_edge_unchecked_duplicate(u, v)?;
-                    }
-                } else {
-                    b.add_edge(u, v)?;
+                // Lenient mode counts and drops loops and repeats; range
+                // errors stay fatal even there, since an endpoint past the
+                // declared node count is a broken file.
+                match b.add_edge(u, v) {
+                    Err(GraphError::SelfLoop { .. }) if lenient => stats.self_loops += 1,
+                    Err(GraphError::DuplicateEdge { .. }) if lenient => stats.duplicate_edges += 1,
+                    added => added?,
                 }
             }
             _ if lenient => stats.skipped_lines += 1,
@@ -353,11 +336,6 @@ fn parse_dimacs_inner(text: &str, mode: DimacsMode) -> Result<(CsrGraph, DimacsS
         });
     }
     Ok((builder.build(), stats))
-}
-
-fn normalize_pair(u: usize, v: usize) -> (u32, u32) {
-    let (a, b) = if u < v { (u, v) } else { (v, u) };
-    (a as u32, b as u32)
 }
 
 #[cfg(test)]

@@ -1,10 +1,12 @@
 //! Property-based validation of every generator: structural invariants
 //! the rest of the workspace silently relies on.
 
-use kw_graph::{generators, props, CsrGraph, NodeId};
+use std::collections::BTreeSet;
+
+use kw_graph::{generators, props, CsrGraph, GraphBuilder, GraphError, NodeId};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// Invariants every graph in the workspace must satisfy: symmetry, sorted
 /// neighbor lists, no loops, no duplicates, consistent counts.
@@ -79,8 +81,96 @@ fn unit_disk_monotone_in_radius() {
     }
 }
 
+/// Builds `edges` through the unchecked path, which merges repeats.
+fn build_unchecked(n: usize, edges: &[(usize, usize)]) -> CsrGraph {
+    let mut b = GraphBuilder::new(n);
+    for &(u, v) in edges {
+        b.add_edge_unchecked_duplicate(u, v).expect("edge in range");
+    }
+    b.build()
+}
+
+/// The CSR arrays of the simple graph on `n` nodes with edge set `set`
+/// (pairs `(min, max)`): every list sorted ascending.
+fn reference_csr(n: usize, set: &BTreeSet<(usize, usize)>) -> (Vec<u32>, Vec<u32>) {
+    let mut adj = vec![Vec::new(); n];
+    for &(a, b) in set {
+        adj[a].push(b as u32);
+        adj[b].push(a as u32);
+    }
+    let mut offsets = vec![0u32];
+    let mut targets = Vec::new();
+    for mut list in adj {
+        list.sort_unstable();
+        targets.extend(list);
+        offsets.push(targets.len() as u32);
+    }
+    (offsets, targets)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+    /// `build` writes the same sorted CSR however an edge list arrives:
+    /// shuffled, in `(max, min)` order (which it takes without sorting) or
+    /// in `(min, max)` order, with repeats in both orientations merged.
+    /// `from_edges` rejects the list exactly when it has a repeat.
+    #[test]
+    fn build_matches_reference_in_every_order(
+        n in 1usize..60,
+        m in 0usize..150,
+        repeats in 0usize..4,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut set = BTreeSet::new();
+        let mut edges = Vec::new();
+        for _ in 0..m {
+            let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            if u != v && set.insert((u.min(v), u.max(v))) {
+                edges.push((u, v));
+            }
+        }
+        let distinct = edges.len();
+        if distinct > 0 {
+            for i in 0..repeats {
+                let (u, v) = edges[rng.gen_range(0..distinct)];
+                edges.push(if i % 2 == 0 { (v, u) } else { (u, v) });
+            }
+        }
+        let has_repeat = edges.len() > distinct;
+        let (offsets, targets) = reference_csr(n, &set);
+
+        let mut shuffled = edges.clone();
+        for i in (1..shuffled.len()).rev() {
+            shuffled.swap(i, rng.gen_range(0..i + 1));
+        }
+        let mut max_min = edges.clone();
+        max_min.sort_by_key(|&(u, v)| (u.max(v), u.min(v)));
+        let mut min_max = edges.clone();
+        min_max.sort_by_key(|&(u, v)| (u.min(v), u.max(v)));
+        let orders = [
+            ("shuffled", &shuffled),
+            ("(max, min)", &max_min),
+            ("(min, max)", &min_max),
+        ];
+        for (order, list) in orders {
+            let g = build_unchecked(n, list);
+            prop_assert_eq!(g.offsets(), &offsets[..], "{} offsets", order);
+            prop_assert_eq!(g.targets(), &targets[..], "{} targets", order);
+        }
+
+        match CsrGraph::from_edges(n, shuffled.iter().copied()) {
+            Ok(g) => {
+                prop_assert!(!has_repeat, "a repeat was accepted");
+                prop_assert_eq!(g.targets(), &targets[..]);
+            }
+            Err(e) => prop_assert!(
+                has_repeat && matches!(e, GraphError::DuplicateEdge { .. }),
+                "unexpected error {e}"
+            ),
+        }
+    }
+
     #[test]
     fn gnp_well_formed(n in 0usize..80, p in 0.0f64..1.0, seed in any::<u64>()) {
         let mut rng = SmallRng::seed_from_u64(seed);

@@ -232,10 +232,16 @@ struct ChunkOut {
     wire_ok: bool,
     /// Staged (non-solo, non-quiet) senders in this chunk.
     staged: usize,
-    /// Inbox entries this chunk handed to `on_round`: every gathered
-    /// entry, and in-place entries only when a tracer is installed
-    /// (counting them walks each in-place inbox).
-    inbox_entries: usize,
+    /// Inbox entries this chunk gathered for `on_round` after a staged
+    /// round.
+    gathered: usize,
+    /// Traced in-place rounds only: entries of the solo table addressed to
+    /// this chunk's nodes that did not compute (halted or down), which the
+    /// sender-side tally counted but no `on_round` received.
+    unread: usize,
+    /// Traced rounds only: arcs out of this chunk's solo senders, the
+    /// in-place entries their payloads put in flight for the next round.
+    solo_arcs: usize,
     /// Byzantine payloads whose corrupted encoding no longer decoded and
     /// were rejected (never delivered, never a panic).
     byz_rejected: u64,
@@ -249,7 +255,9 @@ impl ChunkOut {
             max_message_bits: 0,
             wire_ok: true,
             staged: 0,
-            inbox_entries: 0,
+            gathered: 0,
+            unread: 0,
+            solo_arcs: 0,
             byz_rejected: 0,
         }
     }
@@ -452,6 +460,11 @@ pub struct Engine<'g, P: Protocol> {
     /// `node_plan_base` and `staged`, which otherwise hold an older
     /// round's tables; otherwise they read `solo_prev` in place.
     staged_prev: bool,
+    /// Traced runs only: arcs out of the latest compute phase's solo
+    /// senders, the in-place inbox entries in flight (the swap hands them
+    /// to the next round with the solo table). Zeroed with the messages in
+    /// flight.
+    solo_arcs: usize,
     /// Per directed arc of each *staged* sender: copies delivered along it
     /// this round.
     send_counts: Vec<u32>,
@@ -564,6 +577,7 @@ impl<'g, P: Protocol> Engine<'g, P> {
             solo_prev: per_node(),
             staged_senders: 0,
             staged_prev: false,
+            solo_arcs: 0,
             send_counts: vec![0; arcs],
             plan_ranges: vec![(0, 0); arcs],
             node_plan_base: vec![0; n + 1],
@@ -667,7 +681,15 @@ impl<'g, P: Protocol> Engine<'g, P> {
             self.staged_senders = out.staged;
             if trace {
                 let active = self.halted.iter().filter(|h| !**h).count() as u64;
-                let arena_bytes = (out.inbox_entries * std::mem::size_of::<(u32, P::Msg)>()) as u64;
+                // An in-place round's entries are the solo senders' arcs
+                // less those addressed to nodes that did not compute.
+                let inbox_entries = if self.staged_prev {
+                    out.gathered
+                } else {
+                    self.solo_arcs - out.unread
+                };
+                self.solo_arcs = out.solo_arcs;
+                let arena_bytes = (inbox_entries * std::mem::size_of::<(u32, P::Msg)>()) as u64;
                 // Pool counters are cumulative; the sample carries the
                 // delta since the previous sample (this round's compute
                 // plus the previous round's delivery). Observability
@@ -763,6 +785,7 @@ impl<'g, P: Protocol> Engine<'g, P> {
     fn drop_inflight(&mut self) {
         self.solo_prev.fill(None);
         self.staged_prev = false;
+        self.solo_arcs = 0;
     }
 
     /// Calls `on_round` on every running node, each with an inbox over the
@@ -865,7 +888,9 @@ impl<'g, P: Protocol> Engine<'g, P> {
                 a.max_message_bits = a.max_message_bits.max(o.max_message_bits);
                 a.wire_ok &= o.wire_ok;
                 a.staged += o.staged;
-                a.inbox_entries += o.inbox_entries;
+                a.gathered += o.gathered;
+                a.unread += o.unread;
+                a.solo_arcs += o.solo_arcs;
                 a.byz_rejected += o.byz_rejected;
                 a
             })
@@ -875,7 +900,9 @@ impl<'g, P: Protocol> Engine<'g, P> {
     /// each running node an inbox — read in place from the solo table, or
     /// after a staged round gathered into the chunk's reused `gather`
     /// buffer — and stages its sends into the chunk's send arena. `trace`
-    /// turns on the count of in-place inbox entries for the round sample.
+    /// turns on the tallies the round sample counts in-place inbox entries
+    /// from: solo senders' arcs, and the entries addressed to nodes that
+    /// do not compute.
     #[allow(clippy::too_many_arguments)]
     // kw-lint: hot
     fn compute_range(
@@ -902,7 +929,9 @@ impl<'g, P: Protocol> Engine<'g, P> {
         let has_down = faults.has_down();
         let has_byz = faults.has_byzantine();
         let mut staged = 0usize;
-        let mut inbox_entries = 0usize;
+        let mut gathered = 0usize;
+        let mut unread = 0usize;
+        let mut solo_arcs = 0usize;
         let mut byz_rejected = 0u64;
         for (j, node) in nodes.iter_mut().enumerate() {
             let v = base + j;
@@ -912,6 +941,13 @@ impl<'g, P: Protocol> Engine<'g, P> {
                 // state frozen until recovery.
                 runs[j] = (0, 0);
                 solo[j] = None;
+                if trace && !inflight.staged {
+                    let src = InboxSrc::InPlace {
+                        ports: &targets[offsets[v] as usize..offsets[v + 1] as usize],
+                        solo: inflight.solo,
+                    };
+                    unread += Inbox { src }.len();
+                }
                 continue;
             }
             let arc_lo = offsets[v] as usize;
@@ -919,17 +955,13 @@ impl<'g, P: Protocol> Engine<'g, P> {
             let ports = &targets[arc_lo..arc_hi];
             let inbox = if inflight.staged {
                 inflight.gather(arc_lo, ports, gather);
-                inbox_entries += gather.len();
+                gathered += gather.len();
                 InboxSrc::Gathered(&gather[..])
             } else {
-                let view = InboxSrc::InPlace {
+                InboxSrc::InPlace {
                     ports,
                     solo: inflight.solo,
-                };
-                if trace {
-                    inbox_entries += Inbox { src: view }.len();
                 }
-                view
             };
             let run_start = sink.arena.len();
             let messages_before = sink.messages;
@@ -958,6 +990,8 @@ impl<'g, P: Protocol> Engine<'g, P> {
             };
             if solo[j].is_none() && len > 0 {
                 staged += 1;
+            } else if trace && solo[j].is_some() {
+                solo_arcs += ports.len();
             }
         }
         // Run starts/lengths were truncated to u32 above; one check of the
@@ -974,7 +1008,9 @@ impl<'g, P: Protocol> Engine<'g, P> {
             max_message_bits: sink.max_message_bits,
             wire_ok: sink.wire_ok,
             staged,
-            inbox_entries,
+            gathered,
+            unread,
+            solo_arcs,
             byz_rejected,
         }
     }
@@ -1625,6 +1661,84 @@ mod tests {
                 assert_eq!(
                     samples[r].arena_bytes,
                     samples[r - 1].messages * entry,
+                    "round {r}, threads={threads}"
+                );
+            }
+        }
+    }
+
+    /// Broadcasts for `rounds_left` of its own rounds, then halts,
+    /// recording the engine rounds in which it computed and sent.
+    struct Tally {
+        rounds_left: usize,
+        computed: Vec<usize>,
+        sent: Vec<usize>,
+    }
+
+    impl Protocol for Tally {
+        type Msg = u64;
+        type Output = (Vec<usize>, Vec<usize>);
+
+        fn on_round(&mut self, ctx: &mut Ctx<'_, u64>) -> Status {
+            self.computed.push(ctx.round());
+            if self.rounds_left == 0 {
+                return Status::Halted;
+            }
+            self.rounds_left -= 1;
+            ctx.broadcast(ctx.node().raw() as u64);
+            self.sent.push(ctx.round());
+            Status::Running
+        }
+
+        fn finish(self) -> Self::Output {
+            (self.computed, self.sent)
+        }
+    }
+
+    /// On a reliable plan every round reads in place, and the sample of
+    /// round `r` counts, for each node that computed in `r`, its neighbors
+    /// that sent in `r − 1`: nodes halting early and a node inside a
+    /// crash window neither read nor send, yet their neighbors do.
+    #[test]
+    fn trace_arena_bytes_skip_halted_and_down_receivers() {
+        let mut rng = SmallRng::seed_from_u64(9);
+        let g = generators::gnp(60, 0.1, &mut rng);
+        let faults = ChaosPlan::parse("crash=7@r2-4").expect("valid chaos spec");
+        assert!(faults.lossless());
+        let entry = std::mem::size_of::<(u32, u64)>() as u64;
+        for threads in [1usize, 4] {
+            kw_trace::install(kw_trace::Tracer::new());
+            let config = EngineConfig {
+                threads,
+                faults: faults.clone(),
+                ..Default::default()
+            };
+            let report = Engine::new(&g, config, |info| Tally {
+                rounds_left: 1 + info.id.index() % 5,
+                computed: Vec::new(),
+                sent: Vec::new(),
+            })
+            .run(&mut ())
+            .expect("tally terminates");
+            let mut t = kw_trace::take().expect("tracer still installed");
+            t.finish();
+            let samples = t.samples();
+            assert_eq!(samples.len(), report.metrics.rounds, "threads={threads}");
+            let (computed, sent): (Vec<_>, Vec<_>) = report.outputs.into_iter().unzip();
+            assert!(!computed[7].contains(&3), "node 7 is down in round 3");
+            for (r, sample) in samples.iter().enumerate() {
+                let entries: usize = g
+                    .node_ids()
+                    .filter(|v| computed[v.index()].contains(&r))
+                    .map(|v| {
+                        g.neighbors(v)
+                            .filter(|q| r > 0 && sent[q.index()].contains(&(r - 1)))
+                            .count()
+                    })
+                    .sum();
+                assert_eq!(
+                    sample.arena_bytes,
+                    entries as u64 * entry,
                     "round {r}, threads={threads}"
                 );
             }
