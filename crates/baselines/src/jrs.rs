@@ -261,30 +261,34 @@ pub struct JrsRun {
     pub metrics: RunMetrics,
 }
 
-/// Runs LRG on `g` with randomness from `seed`.
+/// Runs LRG on `g` under `engine` — its seed, threads and chaos plan —
+/// with LRG's own round budget in place of `engine.max_rounds`.
 ///
 /// # Errors
 ///
-/// Propagates [`kw_sim::SimError`]; the round budget is far above the
-/// `O(log n·log Δ)` w.h.p. bound, so exhaustion indicates a bug.
+/// Propagates [`kw_sim::SimError`]. On a reliable network the round
+/// budget is far above the `O(log n·log Δ)` w.h.p. bound, so exhaustion
+/// indicates a bug; LRG assumes reliable delivery, though, and under
+/// message loss a run can stall until the budget runs out
+/// ([`SimError::MaxRoundsExceeded`](kw_sim::SimError::MaxRoundsExceeded)).
 ///
 /// # Example
 ///
 /// ```
 /// use kw_graph::generators;
 /// use kw_baselines::jrs::run_jrs;
+/// use kw_sim::EngineConfig;
 ///
 /// let g = generators::grid(5, 5);
-/// let run = run_jrs(&g, 3)?;
+/// let run = run_jrs(&g, EngineConfig::seeded(3))?;
 /// assert!(run.set.is_dominating(&g));
 /// # Ok::<(), kw_sim::SimError>(())
 /// ```
-pub fn run_jrs(g: &CsrGraph, seed: u64) -> Result<JrsRun, kw_sim::SimError> {
+pub fn run_jrs(g: &CsrGraph, engine: EngineConfig) -> Result<JrsRun, kw_sim::SimError> {
     let logn = (g.len().max(2)).ilog2() as usize + 1;
     let config = EngineConfig {
-        seed,
         max_rounds: 6 * 200 * logn * logn,
-        ..Default::default()
+        ..engine
     };
     let report = Engine::new(g, config, |info| JrsProtocol::new(info.degree)).run(&mut ())?;
     let mut set = DominatingSet::new(g);
@@ -342,7 +346,7 @@ mod tests {
                 generators::star_of_cliques(3, 5),
                 CsrGraph::empty(4),
             ] {
-                let run = run_jrs(&g, seed).unwrap();
+                let run = run_jrs(&g, EngineConfig::seeded(seed)).unwrap();
                 assert!(run.set.is_dominating(&g), "seed {seed} failed on {g:?}");
             }
         }
@@ -353,7 +357,7 @@ mod tests {
         // On a star, the center is the unique max-class node; LRG should
         // find a tiny set (center, possibly plus the odd leaf).
         let g = generators::star(40);
-        let run = run_jrs(&g, 1).unwrap();
+        let run = run_jrs(&g, EngineConfig::seeded(1)).unwrap();
         assert!(
             run.set.len() <= 3,
             "LRG picked {} nodes on a star",
@@ -371,7 +375,7 @@ mod tests {
         let mut total = 0usize;
         let trials = 10;
         for seed in 0..trials {
-            let run = run_jrs(&g, seed).unwrap();
+            let run = run_jrs(&g, EngineConfig::seeded(seed)).unwrap();
             assert!(run.set.is_dominating(&g));
             total += run.set.len();
         }
@@ -385,7 +389,7 @@ mod tests {
     fn rounds_polylogarithmic() {
         let mut rng = SmallRng::seed_from_u64(6);
         let g = generators::gnp(400, 0.02, &mut rng);
-        let run = run_jrs(&g, 2).unwrap();
+        let run = run_jrs(&g, EngineConfig::seeded(2)).unwrap();
         assert!(run.set.is_dominating(&g));
         // log2(400) ≈ 8.6, log2(Δ) small; generous polylog budget.
         assert!(
@@ -398,8 +402,8 @@ mod tests {
     #[test]
     fn deterministic_for_seed() {
         let g = generators::grid(7, 7);
-        let a = run_jrs(&g, 9).unwrap();
-        let b = run_jrs(&g, 9).unwrap();
+        let a = run_jrs(&g, EngineConfig::seeded(9)).unwrap();
+        let b = run_jrs(&g, EngineConfig::seeded(9)).unwrap();
         let av: Vec<bool> = g.node_ids().map(|v| a.set.contains(v)).collect();
         let bv: Vec<bool> = g.node_ids().map(|v| b.set.contains(v)).collect();
         assert_eq!(av, bv);
@@ -419,7 +423,7 @@ mod tests {
             ) {
                 let mut rng = SmallRng::seed_from_u64(seed);
                 let g = generators::gnp(n, p, &mut rng);
-                let run = run_jrs(&g, seed).unwrap();
+                let run = run_jrs(&g, EngineConfig::seeded(seed)).unwrap();
                 prop_assert!(run.set.is_dominating(&g));
             }
         }

@@ -131,30 +131,33 @@ pub struct MisRun {
     pub metrics: RunMetrics,
 }
 
-/// Runs the Luby MIS protocol on `g` with randomness from `seed`.
+/// Runs the Luby MIS protocol on `g` under `engine` — its seed, threads
+/// and chaos plan — with the protocol's own round budget in place of
+/// `engine.max_rounds`.
 ///
 /// # Errors
 ///
 /// Propagates [`kw_sim::SimError`]; the round budget is far beyond the
-/// with-high-probability bound, so hitting it indicates a bug.
+/// with-high-probability bound, so hitting it on a reliable network
+/// indicates a bug.
 ///
 /// # Example
 ///
 /// ```
 /// use kw_graph::generators;
 /// use kw_baselines::luby_mis::run_luby_mis;
+/// use kw_sim::EngineConfig;
 ///
 /// let g = generators::petersen();
-/// let run = run_luby_mis(&g, 7)?;
+/// let run = run_luby_mis(&g, EngineConfig::seeded(7))?;
 /// assert!(run.set.is_dominating(&g));
 /// # Ok::<(), kw_sim::SimError>(())
 /// ```
-pub fn run_luby_mis(g: &CsrGraph, seed: u64) -> Result<MisRun, kw_sim::SimError> {
+pub fn run_luby_mis(g: &CsrGraph, engine: EngineConfig) -> Result<MisRun, kw_sim::SimError> {
     let budget = 128 * ((g.len().max(2)).ilog2() as usize + 1);
     let config = EngineConfig {
-        seed,
         max_rounds: budget,
-        ..Default::default()
+        ..engine
     };
     let report = Engine::new(g, config, |info| LubyProtocol::new(info.id)).run(&mut ())?;
     let mut set = DominatingSet::new(g);
@@ -212,7 +215,7 @@ mod tests {
                 generators::complete(9),
                 CsrGraph::empty(4),
             ] {
-                let run = run_luby_mis(&g, seed).unwrap();
+                let run = run_luby_mis(&g, EngineConfig::seeded(seed)).unwrap();
                 assert_valid_mis(&g, &run.set);
             }
         }
@@ -221,14 +224,14 @@ mod tests {
     #[test]
     fn complete_graph_yields_singleton() {
         let g = generators::complete(20);
-        let run = run_luby_mis(&g, 3).unwrap();
+        let run = run_luby_mis(&g, EngineConfig::seeded(3)).unwrap();
         assert_eq!(run.set.len(), 1);
     }
 
     #[test]
     fn empty_graph_takes_everyone() {
         let g = CsrGraph::empty(7);
-        let run = run_luby_mis(&g, 0).unwrap();
+        let run = run_luby_mis(&g, EngineConfig::seeded(0)).unwrap();
         assert_eq!(run.set.len(), 7);
         // Isolated nodes decide in a single phase.
         assert_eq!(run.metrics.rounds, 2);
@@ -238,8 +241,8 @@ mod tests {
     fn deterministic_for_seed_and_fast() {
         let mut rng = SmallRng::seed_from_u64(4);
         let g = generators::gnp(300, 0.03, &mut rng);
-        let a = run_luby_mis(&g, 11).unwrap();
-        let b = run_luby_mis(&g, 11).unwrap();
+        let a = run_luby_mis(&g, EngineConfig::seeded(11)).unwrap();
+        let b = run_luby_mis(&g, EngineConfig::seeded(11)).unwrap();
         let av: Vec<bool> = g.node_ids().map(|v| a.set.contains(v)).collect();
         let bv: Vec<bool> = g.node_ids().map(|v| b.set.contains(v)).collect();
         assert_eq!(av, bv);
@@ -262,7 +265,7 @@ mod tests {
             ) {
                 let mut rng = SmallRng::seed_from_u64(seed);
                 let g = generators::gnp(n, p, &mut rng);
-                let run = run_luby_mis(&g, seed).unwrap();
+                let run = run_luby_mis(&g, EngineConfig::seeded(seed)).unwrap();
                 assert_valid_mis(&g, &run.set);
             }
         }

@@ -18,7 +18,7 @@ use kw_core::solver::{
     DsSolver, ReportBuilder, SolveContext, SolveError, SolveReport, SolverRegistry,
 };
 use kw_graph::CsrGraph;
-use kw_sim::RunMetrics;
+use kw_sim::{EngineConfig, RunMetrics};
 
 use crate::{cds, greedy, jrs, luby_mis, trivial};
 
@@ -78,7 +78,24 @@ impl DsSolver for GreedySolver {
     }
 }
 
+/// The engine configuration a solve context asks for: its seed, thread
+/// count and chaos plan.
+fn engine(ctx: &SolveContext) -> EngineConfig {
+    EngineConfig {
+        seed: ctx.seed,
+        threads: ctx.threads,
+        faults: ctx.faults.clone(),
+        ..EngineConfig::default()
+    }
+}
+
 /// The Jia–Rajaraman–Suel LRG distributed baseline as a solver.
+///
+/// Runs under the context's seed, threads and chaos plan. LRG assumes
+/// reliable delivery: under message loss (`drop=…` or a burst) a run
+/// usually stalls until LRG's round budget runs out, and the solve fails
+/// with [`SimError::MaxRoundsExceeded`](kw_sim::SimError::MaxRoundsExceeded)
+/// (`kw-serve` answers 422) instead of returning an answer.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct JrsSolver;
 
@@ -88,14 +105,15 @@ impl DsSolver for JrsSolver {
     }
 
     fn solve(&self, g: &CsrGraph, ctx: &SolveContext) -> Result<SolveReport, SolveError> {
-        let run = jrs::run_jrs(g, ctx.seed)?;
+        let run = jrs::run_jrs(g, engine(ctx))?;
         Ok(ReportBuilder::new(self.spec(), run.set)
             .stage("lrg", run.metrics)
             .finish(g, ctx))
     }
 }
 
-/// The Luby-style MIS distributed baseline as a solver.
+/// The Luby-style MIS distributed baseline as a solver, run under the
+/// context's seed, threads and chaos plan.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct LubyMisSolver;
 
@@ -105,7 +123,7 @@ impl DsSolver for LubyMisSolver {
     }
 
     fn solve(&self, g: &CsrGraph, ctx: &SolveContext) -> Result<SolveReport, SolveError> {
-        let run = luby_mis::run_luby_mis(g, ctx.seed)?;
+        let run = luby_mis::run_luby_mis(g, engine(ctx))?;
         Ok(ReportBuilder::new(self.spec(), run.set)
             .stage("mis", run.metrics)
             .finish(g, ctx))

@@ -269,7 +269,7 @@ mod tests {
             .iter()
             .map(|(label, _)| label.as_str())
             .collect();
-        for phase in ["compute", "plan", "send", "deliver", "barrier"] {
+        for phase in ["compute", "deliver", "barrier"] {
             assert!(labels.contains(&phase), "missing phase {phase}");
         }
         assert_eq!(summary.rounds as usize, traced.rounds());

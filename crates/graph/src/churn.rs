@@ -49,38 +49,75 @@ pub struct ChurnEvent {
 
 /// Applies `events` (in the order given, rounds ignored) to `g` and
 /// rebuilds the CSR planes. The caller filters by round; see
-/// [`churn_rounds`] for the schedule.
+/// [`churn_rounds`] for the schedule. Applying a script's rounds one at a
+/// time, each to the previous result, builds the same graph as applying
+/// the whole prefix at once.
+///
+/// Each event costs `O(log Δ)`, a `Leave` `O(deg · log Δ)` plus one scan
+/// of the edges this call added. The rebuild is `O(n + m)`, plus the
+/// build's sort of the edge list when the call added edges.
 ///
 /// Node count is preserved. All invalid mutations are no-ops (module
 /// docs), so this never fails.
 pub fn apply_churn(g: &CsrGraph, events: &[ChurnEvent]) -> CsrGraph {
     let n = g.len();
-    let mut edges: BTreeSet<(u32, u32)> = g
-        .edges()
-        .map(|(u, v)| (u.raw().min(v.raw()), u.raw().max(v.raw())))
-        .collect();
+    let (offsets, targets) = (g.offsets(), g.targets());
+    let valid = |u: u32, v: u32| u != v && (u as usize) < n && (v as usize) < n;
+    // The arc holding edge `{u, v}` of `g` at its smaller endpoint, if
+    // `g` has the edge.
+    let arc = |u: u32, v: u32| {
+        let (a, b) = (u.min(v), u.max(v));
+        let lo = offsets[a as usize] as usize;
+        let hi = offsets[a as usize + 1] as usize;
+        targets[lo..hi].binary_search(&b).ok().map(|q| lo + q)
+    };
+    // Edges of `g` the events removed, by arc, and edges absent from `g`
+    // that they added.
+    let mut gone = vec![false; g.num_arcs()];
+    let mut added: BTreeSet<(u32, u32)> = BTreeSet::new();
     for ev in events {
         match ev.kind {
-            ChurnKind::AddEdge(u, v) => {
-                if u != v && (u as usize) < n && (v as usize) < n {
-                    edges.insert((u.min(v), u.max(v)));
+            ChurnKind::AddEdge(u, v) if valid(u, v) => match arc(u, v) {
+                Some(e) => gone[e] = false,
+                None => {
+                    added.insert((u.min(v), u.max(v)));
                 }
+            },
+            ChurnKind::RemoveEdge(u, v) if valid(u, v) => match arc(u, v) {
+                Some(e) => gone[e] = true,
+                None => {
+                    added.remove(&(u.min(v), u.max(v)));
+                }
+            },
+            ChurnKind::Leave(v) if (v as usize) < n => {
+                let lo = offsets[v as usize] as usize;
+                for &w in &targets[lo..offsets[v as usize + 1] as usize] {
+                    if let Some(e) = arc(v, w) {
+                        gone[e] = true;
+                    }
+                }
+                added.retain(|&(a, b)| a != v && b != v);
             }
-            ChurnKind::RemoveEdge(u, v) => {
-                edges.remove(&(u.min(v), u.max(v)));
-            }
-            ChurnKind::Join(_) => {}
-            ChurnKind::Leave(v) => {
-                edges.retain(|&(a, b)| a != v && b != v);
+            _ => {}
+        }
+    }
+    // Both sources are duplicate-free and disjoint, so no duplicate probe
+    // is needed. The surviving edges of `g` arrive in (min, max) order, on
+    // which the build's sort is linear; added edges follow them.
+    let mut b = GraphBuilder::new(n);
+    let mut add = |u: usize, v: usize| {
+        b.add_edge_unchecked_duplicate(u, v)
+            .expect("churned edges are in range and loop-free");
+    };
+    for u in 0..n {
+        for e in offsets[u] as usize..offsets[u + 1] as usize {
+            if targets[e] as usize > u && !gone[e] {
+                add(u, targets[e] as usize);
             }
         }
     }
-    // The set is duplicate-free, so no duplicate probe is needed, and it
-    // iterates in (min, max) order, on which the build's sort is linear.
-    let mut b = GraphBuilder::new(n);
-    for &(u, v) in &edges {
-        b.add_edge_unchecked_duplicate(u as usize, v as usize)
-            .expect("churned edges are in range and loop-free");
+    for &(u, v) in &added {
+        add(u as usize, v as usize);
     }
     b.build()
 }
@@ -166,6 +203,54 @@ mod tests {
             ev(5, ChurnKind::AddEdge(0, 1)),
         ];
         assert_eq!(churn_rounds(&script), vec![1, 5]);
+    }
+
+    mod proptests {
+        use super::*;
+        use crate::generators;
+        use proptest::prelude::*;
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(32))]
+            /// Applying a script one churn round at a time, each round's
+            /// events to the previous round's graph, builds every round's
+            /// graph exactly as rebuilding the original with the whole
+            /// prefix does. Endpoints reach past `n`, so invalid events mix
+            /// in.
+            #[test]
+            fn round_by_round_equals_prefix_rebuild(
+                n in 1usize..40,
+                events in 0usize..60,
+                seed in any::<u64>(),
+            ) {
+                let mut rng = SmallRng::seed_from_u64(seed);
+                let g = generators::gnp(n, 0.2, &mut rng);
+                let node = |rng: &mut SmallRng| rng.gen_range(0..n as u32 + 2);
+                let mut script: Vec<ChurnEvent> = (0..events)
+                    .map(|i| {
+                        let (u, v) = (node(&mut rng), node(&mut rng));
+                        let kind = match rng.gen_range(0u32..4) {
+                            0 => ChurnKind::AddEdge(u, v),
+                            1 => ChurnKind::RemoveEdge(u, v),
+                            2 => ChurnKind::Join(u),
+                            _ => ChurnKind::Leave(u),
+                        };
+                        ev(i % 7, kind)
+                    })
+                    .collect();
+                // Stable: events of one round keep their script order.
+                script.sort_by_key(|e| e.round);
+                let mut current = g.clone();
+                for round in churn_rounds(&script) {
+                    let lo = script.partition_point(|e| e.round < round);
+                    let hi = script.partition_point(|e| e.round <= round);
+                    current = apply_churn(&current, &script[lo..hi]);
+                    prop_assert_eq!(&current, &apply_churn(&g, &script[..hi]));
+                }
+            }
+        }
     }
 
     #[test]

@@ -484,7 +484,7 @@ mod tests {
             .collect();
         assert_eq!(phase_lines.len(), PHASES.len());
         assert!(text.contains("kw_serve_solve_phase_us_total{phase=\"compute\"} 600\n"));
-        assert!(text.contains("kw_serve_solve_phase_us_total{phase=\"plan\"} 0\n"));
+        assert!(text.contains("kw_serve_solve_phase_us_total{phase=\"barrier\"} 0\n"));
         assert!(text.contains("kw_serve_traced_solves_total 1\n"));
         // A second traced solve accumulates.
         t.observe_trace(&kw_trace::TraceSummary {

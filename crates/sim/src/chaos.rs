@@ -307,8 +307,10 @@ impl ChaosPlan {
     /// Whether delivery never drops messages (no iid loss and no bursts).
     /// Crashes, churn, and byzantine corruption may still be present —
     /// they filter senders/receivers or rewrite payloads, but every
-    /// message staged for a live receiver arrives. This is the condition
-    /// that lets the engine take its solo-broadcast fast path.
+    /// message sent to a live receiver arrives. On a lossless plan, after
+    /// a round of only solo broadcasts, the engine's inboxes read the
+    /// senders' payloads in place; under loss every inbox is gathered, so
+    /// that each copy's fate ([`drops`](Self::drops)) is applied.
     pub fn lossless(&self) -> bool {
         self.drop == 0.0 && self.bursts.is_empty()
     }

@@ -24,16 +24,17 @@
 //! straight into per-node runs of a flat send arena owned by the engine —
 //! no growable buffer is reachable from algorithm code, and sender-side
 //! metrics, wire checking, and traffic classification are fused into the
-//! send itself. On the receiving side nothing is copied between rounds.
-//! After a round of only solo broadcasts (each sender quiet or sending
-//! one broadcast on a lossless plan — the shape of every round of the
-//! paper's algorithms), a node's inbox reads the previous round's dense
-//! per-sender payload cache in place through the node's ports, so a
-//! node pays only for the entries its protocol reads. After a round with
-//! any other traffic, the node's worker gathers its inbox just before
-//! its round into one small reused buffer — solo broadcasts from that
-//! cache, unicast and mixed traffic from a sender-major staging buffer
-//! addressed by a flat reverse-arc table. A round costs `O(m + traffic)`
+//! send itself. A round of exactly one broadcast — the shape of every
+//! round of the paper's algorithms — moves into a dense per-sender
+//! payload table; any other round's sends stay in the arena. Between
+//! rounds the engine only swaps buffers; nothing is copied. After a
+//! lossless round in which every sender was quiet or solo, a node's
+//! inbox reads the previous round's payload table in place through the
+//! node's ports, so a node pays only for the entries its protocol reads.
+//! Otherwise the node's worker gathers its inbox just before its round
+//! into one small reused buffer — solo payloads from that table, every
+//! other sender's copies from its own run in the previous round's send
+//! arena, less those the chaos plan drops. A round costs `O(m + traffic)`
 //! with the `m`-term reduced to computing nodes walking their own
 //! ports, message-proportional buffers keep their capacity so
 //! steady-state rounds grow nothing, and results are bit-identical for
@@ -45,15 +46,15 @@
 //!
 //! At `threads > 1` the engine partitions nodes into contiguous,
 //! **degree-weighted** chunks (cut points balance `arcs + 4·nodes` per
-//! chunk, recomputed on every churn rebuild) and drives both parallel
-//! phases — compute (with its inbox reads) and send staging —
-//! through one persistent epoch-barrier [`pool::WorkerPool`] spawned
-//! once per run, instead of a fresh `std::thread::scope` per phase per
-//! round. Message-plane state (send arenas, staging and gather buffers)
-//! is per-chunk, each chunk's on its own cache lines; the only
-//! cross-chunk traffic is read-only access to other chunks' sends when a
-//! node reads its inbox. Outputs, metrics, and trace structure stay
-//! bit-identical for every thread count.
+//! chunk, recomputed on every churn rebuild) and drives the parallel
+//! compute phase (with its inbox reads and sends) through one
+//! persistent epoch-barrier [`pool::WorkerPool`] spawned once per run,
+//! instead of a fresh `std::thread::scope` per phase per round.
+//! Message-plane state (send arenas and gather buffers) is per-chunk,
+//! each chunk's on its own cache lines; the only cross-chunk traffic is
+//! read-only access to other chunks' sends when a node reads its inbox.
+//! Outputs, metrics, and trace structure stay bit-identical for every
+//! thread count.
 //!
 //! **Port numbering is an invariant of the model, not of the message
 //! plane:** port `q` of node `v` is always `v`'s `q`-th neighbor in

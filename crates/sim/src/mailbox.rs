@@ -33,11 +33,12 @@ use crate::rng::node_seed;
 
 /// Outbound message staged by a node during a round.
 ///
-/// A broadcast is materialized once in the send arena. A solo broadcast
-/// is also cloned into the dense solo table; every other send is cloned
-/// into staging once per delivered copy. After a round that staged
-/// nothing, receivers read the solo table in place; after a round that
-/// did, each receiver gathers clones of what it was delivered.
+/// A broadcast is materialized once in the send arena. A node's round of
+/// exactly one broadcast then moves into the engine's dense solo table;
+/// every other send stays in the arena, where the next round's receivers
+/// read it. After a lossless round that left nothing in the arenas,
+/// receivers read the solo table in place; otherwise each receiver
+/// gathers clones of what it was delivered.
 #[derive(Clone, Debug)]
 pub(crate) enum Outbound<M> {
     /// Same payload to every neighbor (still counted as `degree` messages,
@@ -91,11 +92,13 @@ pub trait Sink<M> {
 /// yields messages in ascending port order, and a port's messages in the
 /// sender's send order.
 ///
-/// When the previous round delivered only solo broadcasts (one broadcast
-/// per sender, on a lossless plan), the inbox reads the engine's solo
-/// table in place through this node's ports instead of a gathered copy:
-/// iteration skips quiet ports as it goes, and [`len`](Self::len) and
-/// [`is_empty`](Self::is_empty) count on demand in `O(degree)`.
+/// When the previous round sent only solo broadcasts (at most one
+/// broadcast per sender) on a lossless plan, the inbox reads the engine's
+/// solo table in place through this node's ports instead of a gathered
+/// copy: iteration skips quiet ports as it goes, and [`len`](Self::len)
+/// and [`is_empty`](Self::is_empty) count on demand in `O(degree)`.
+/// Otherwise the engine gathered the inbox from the senders' solo
+/// payloads and send runs, less the copies the plan dropped.
 #[derive(Debug)]
 pub struct Inbox<'a, M> {
     pub(crate) src: InboxSrc<'a, M>,
@@ -266,8 +269,8 @@ impl<'a, M> Ctx<'a, M> {
         self.round
     }
 
-    /// Messages delivered this round. After a round of only solo
-    /// broadcasts the inbox reads the engine's solo table in place;
+    /// Messages delivered this round. After a lossless round of only
+    /// solo broadcasts the inbox reads the engine's solo table in place;
     /// otherwise the engine gathered it for this node just before the
     /// round (see [`Inbox`]).
     pub fn inbox(&self) -> Inbox<'_, M> {

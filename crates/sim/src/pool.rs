@@ -1,17 +1,16 @@
 //! Persistent epoch-barrier worker pool.
 //!
-//! The engine's parallel phases (compute, which runs every node's round
-//! over its inbox, and send staging) used to each open a fresh
-//! [`std::thread::scope`] every round — spawn lead + join tail per
-//! phase per round, which the trace plane measured at 26–35% of flood
-//! wall time at 2–8 workers (`docs/BENCH_HISTORY.md`). This module
-//! replaces that with a pool spawned **once per
-//! [`Engine::run`](crate::Engine::run)**: workers park on a condvar and
-//! each phase is published to them as an *epoch* — a monotone counter
-//! plus a job pointer. Dispatch is two uncontended lock acquisitions and
-//! one `notify_all` per phase instead of N thread spawns, so the
-//! per-phase synchronization cost becomes an epoch *wait*, not a
-//! spawn/join.
+//! The engine's one parallel phase — compute, which runs every node's
+//! round over its inbox and stages its sends — runs on this pool.
+//! Opening a fresh [`std::thread::scope`] for it every round would cost a
+//! spawn lead + join tail per round, which the trace plane measured at
+//! 26–35% of flood wall time at 2–8 workers (`docs/BENCH_HISTORY.md`).
+//! The pool is spawned **once per [`Engine::run`](crate::Engine::run)**
+//! instead: workers park on a condvar and each round's compute phase is
+//! published to them as an *epoch* — a monotone counter plus a job
+//! pointer. Dispatch is two uncontended lock acquisitions and one
+//! `notify_all` per phase instead of N thread spawns, so the per-phase
+//! synchronization cost becomes an epoch *wait*, not a spawn/join.
 //!
 //! # Execution model
 //!

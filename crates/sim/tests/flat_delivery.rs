@@ -11,10 +11,10 @@
 //! — and nothing at all once `v` has halted. The property tests check the
 //! exact sequence (hence the exact multiset) on random G(n, p), star, and
 //! complete graphs, with and without faults, at 1, 2 and 8 threads, so
-//! every chunk layout's gather — cross-chunk staged reads included — is
-//! held to the model, and so are the in-place inboxes of rounds that
-//! follow solo-only traffic; a separate test pins thread-count
-//! determinism on a high-Δ graph with faults enabled.
+//! every chunk layout's gather — reads of other chunks' send runs
+//! included — is held to the model, and so are the in-place inboxes of
+//! rounds that follow lossless solo-only traffic; a separate test pins
+//! thread-count determinism on a high-Δ graph with faults enabled.
 
 use kw_graph::{generators, CsrGraph, NodeId};
 use kw_sim::rng::split_mix64;
@@ -33,16 +33,16 @@ enum Send {
 /// Which traffic shape a scripted run drives through the send arena.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Flavor {
-    /// Quiet, broadcast-only (the solo fast path), and mixed broadcast +
-    /// unicast rounds (the staged path).
+    /// Quiet, broadcast-only (solo), and mixed broadcast + unicast rounds
+    /// (runs left in the send arena).
     Mixed,
     /// Unicast bursts: up to six unicasts per round, ports hash-chosen
     /// and often repeated — multiple messages must land on one arc in
-    /// send-slot order, the hardest case for the per-arc plan cursors.
+    /// send-slot order.
     Burst,
-    /// Each node is quiet or sends one broadcast per round. On a
-    /// reliable plan every sender is solo, nothing is staged, and every
-    /// inbox reads the solo table in place.
+    /// Each node is quiet or sends one broadcast per round. Every sender
+    /// is solo, so on a lossless plan every inbox reads the solo table in
+    /// place; under loss each is gathered from it.
     Solo,
     /// `Solo` on even rounds and `Mixed` on odd ones, so in-place and
     /// gathered inboxes alternate.
@@ -195,7 +195,7 @@ fn run_scripted(
 
 /// The engine thread counts every reference check runs at. Graphs with
 /// fewer than `2 × threads` nodes run as one chunk; larger ones split
-/// into two or eight, so staged copies cross chunk boundaries.
+/// into two or eight, so gathers read runs across chunk boundaries.
 const THREADS: [usize; 3] = [1, 2, 8];
 
 fn assert_matches_reference(
@@ -222,6 +222,12 @@ fn assert_matches_reference(
     }
 }
 
+/// iid loss plus a burst over half the receivers in rounds 2–3: under
+/// loss even a solo sender's copies are gathered and filtered one by one.
+fn drop_and_burst(seed: u64) -> ChaosPlan {
+    ChaosPlan::parse(&format!("drop=0.3,seed={seed},burst=r2-3@0.7/0.5")).expect("valid chaos spec")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -232,9 +238,10 @@ proptest! {
         for threads in THREADS {
             assert_matches_reference(&g, 6, ChaosPlan::reliable(), Flavor::Mixed, threads);
             assert_matches_reference(&g, 6, ChaosPlan::reliable().with_drop(0.3).with_fault_seed(seed ^ 0x5ca1ab1e), Flavor::Mixed, threads);
-            // Reliable only: under loss no sender is solo.
             assert_matches_reference(&g, 6, ChaosPlan::reliable(), Flavor::Solo, threads);
             assert_matches_reference(&g, 6, ChaosPlan::reliable(), Flavor::Alternating, threads);
+            assert_matches_reference(&g, 6, drop_and_burst(seed), Flavor::Solo, threads);
+            assert_matches_reference(&g, 6, drop_and_burst(seed), Flavor::Alternating, threads);
         }
     }
 
@@ -246,6 +253,8 @@ proptest! {
             assert_matches_reference(&g, 5, ChaosPlan::reliable().with_drop(0.4).with_fault_seed(fault_seed), Flavor::Mixed, threads);
             assert_matches_reference(&g, 5, ChaosPlan::reliable(), Flavor::Solo, threads);
             assert_matches_reference(&g, 5, ChaosPlan::reliable(), Flavor::Alternating, threads);
+            assert_matches_reference(&g, 5, drop_and_burst(fault_seed), Flavor::Solo, threads);
+            assert_matches_reference(&g, 5, drop_and_burst(fault_seed), Flavor::Alternating, threads);
         }
     }
 
@@ -339,8 +348,8 @@ fn thread_count_determinism_high_degree_with_faults() {
 
 /// Constant-shape traffic for the steady-state allocation check: every
 /// node broadcasts once and unicasts twice (to its first and last port)
-/// each round, exercising the solo *and* staged halves of the arena path
-/// with identical volume per round.
+/// each round, so every round leaves runs in the send arenas and every
+/// inbox is gathered, with identical volume per round.
 struct Pulse {
     rounds_left: usize,
 }

@@ -2,7 +2,7 @@
 //!
 //! `RunMetrics` says *how much* a run communicated; this crate says
 //! *where the time went*. A [`Tracer`] records hierarchical spans
-//! (`solve → stage → round → phase{plan/send/deliver/compute/barrier}`)
+//! (`solve → stage → round → phase{deliver/compute/barrier}`)
 //! as monotonic microsecond tick pairs in flat per-track buffers — no
 //! locks on the record path, no allocation per span beyond amortized
 //! `Vec` growth — plus a per-round counter series ([`RoundSample`]:
@@ -49,15 +49,14 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 /// The engine's phase taxonomy, in the canonical reporting order.
-/// `plan` = the sequential per-arc delivery count/prefix pass, `send` =
-/// parallel sender-major staging, `deliver` = the sequential swap that
-/// hands a round's send tables to the next round (no per-message copy),
-/// `compute` = the parallel pass that runs each node's `on_round` over
-/// its inbox (read in place, or gathered first after a round that staged
-/// traffic), `barrier` = synchronization overhead of the parallel
-/// phases (epoch-publish lead + done-wait tail on the persistent worker
-/// pool, synthesized by [`Tracer::end_parallel`]).
-pub const PHASES: [&str; 5] = ["plan", "send", "deliver", "compute", "barrier"];
+/// `deliver` = the sequential swap that hands a round's send tables to
+/// the next round (no per-message copy), `compute` = the parallel pass
+/// that runs each node's `on_round` over its inbox (read in place, or
+/// gathered first from the senders' own send runs), `barrier` =
+/// synchronization overhead of the parallel compute phase (epoch-publish
+/// lead + done-wait tail on the persistent worker pool, synthesized by
+/// [`Tracer::end_parallel`]).
+pub const PHASES: [&str; 3] = ["deliver", "compute", "barrier"];
 
 /// One closed span: a labeled `[start, end)` microsecond interval at a
 /// nesting depth within its track.

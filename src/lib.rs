@@ -233,10 +233,10 @@
 //!
 //! # Parallel execution: the persistent worker pool
 //!
-//! The engine runs its parallel phases on a **persistent worker pool**
-//! ([`kw_sim::pool`]) instead of spawning scoped threads per phase:
-//! `Engine::run` spawns `threads − 1` workers once, and every parallel
-//! phase of every round is dispatched as an *epoch* on that pool — the
+//! The engine runs its parallel compute phase on a **persistent worker
+//! pool** ([`kw_sim::pool`]) instead of spawning scoped threads per
+//! phase: `Engine::run` spawns `threads − 1` workers once, and every
+//! round's compute phase is dispatched as an *epoch* on that pool — the
 //! caller publishes the phase's jobs, runs chunk 0 itself, and waits on
 //! the workers' done-count. The trace plane's synthetic *barrier* span
 //! measures exactly this epoch-publish lead plus done-wait tail (it
@@ -250,9 +250,9 @@
 //! cannot stall a phase (the trace plane's `imbalance` measures the
 //! residual spread). Chunk bounds are a pure function of the CSR plane
 //! and are recomputed on every churn rebuild. Message delivery is
-//! **per-chunk**: each chunk owns its slice of the inbox plane and
-//! reads other chunks' staged traffic in place, so no serial
-//! cross-thread splice runs between phases.
+//! **per-chunk**: each chunk gathers its own nodes' inboxes and reads
+//! other chunks' send runs in place, so no serial cross-thread splice
+//! runs between rounds.
 //!
 //! The contract stays what it always was: outputs, metrics, inbox
 //! ordering, trace structure, and chaos behavior are **bit-identical
@@ -327,9 +327,9 @@
 //! installed in a thread-local slot records:
 //!
 //! * **hierarchical spans** — `solve → stage:{fractional,rounding,
-//!   composite} → round → {plan,send,deliver,compute,barrier}`
+//!   composite} → round → {deliver,compute,barrier}`
 //!   ([`kw_trace::PHASES`]), plus one chunk span per worker per
-//!   parallel phase on worker tracks, so pool synchronization overhead
+//!   compute phase on worker tracks, so pool synchronization overhead
 //!   and chunk imbalance are first-class measurements rather than
 //!   inferred gaps;
 //! * **per-round counter series** — [`RoundSample`](kw_trace::RoundSample)

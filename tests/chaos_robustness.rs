@@ -125,49 +125,39 @@ fn chaotic_solve_reports_are_thread_count_invariant() {
     let g = generators::unit_disk(150, 0.12, &mut rng);
     let plan = ChaosPlan::parse(FULL_MIX).unwrap();
     let registry = kw_baselines::registry();
+    // A solve's answer and metrics, or its error: under loss a solver may
+    // legitimately fail (LRG stalls at its round budget), and then the
+    // failure itself must be thread-count invariant.
+    let outcome = |spec: &str, threads: usize, faults: &ChaosPlan| {
+        let ctx = SolveContext {
+            seed: 3,
+            threads,
+            faults: faults.clone(),
+            check_certificates: true,
+            ..SolveContext::default()
+        };
+        let solver = registry.build(spec).unwrap();
+        solver
+            .solve(&g, &ctx)
+            .map(|report| (report.dominating_set, report.metrics))
+    };
     // Every engine-backed solver in the registry; greedy/trivial are
     // centralized and see no chaos.
     for spec in ["kw:k=2", "jrs", "luby-mis"] {
-        let solver = registry.build(spec).unwrap();
-        let base = solver
-            .solve(
-                &g,
-                &SolveContext {
-                    seed: 3,
-                    threads: 1,
-                    faults: plan.clone(),
-                    check_certificates: true,
-                    ..SolveContext::default()
-                },
-            )
-            .unwrap();
+        let base = outcome(spec, 1, &plan);
         for threads in [2usize, 8] {
-            let report = solver
-                .solve(
-                    &g,
-                    &SolveContext {
-                        seed: 3,
-                        threads,
-                        faults: plan.clone(),
-                        check_certificates: true,
-                        ..SolveContext::default()
-                    },
-                )
-                .unwrap();
             assert_eq!(
-                report.dominating_set, base.dominating_set,
-                "{spec}: set differs at threads={threads}"
-            );
-            assert_eq!(
-                report.metrics, base.metrics,
-                "{spec}: metrics differ at threads={threads}"
+                outcome(spec, threads, &plan),
+                base,
+                "{spec}: result differs at threads={threads}"
             );
         }
-        // The chaos plan is exercised, not vacuous: byzantine rejections
-        // or down rounds must actually have occurred for the full mix.
-        assert!(
-            base.metrics.byz_rejected > 0 || base.metrics.messages > 0,
-            "{spec}: chaotic run produced no traffic at all"
+        // The plan reaches the engine, so the check above is not vacuous:
+        // the chaotic result differs from the reliable one.
+        assert_ne!(
+            base,
+            outcome(spec, 1, &ChaosPlan::reliable()),
+            "{spec}: the chaos plan changed nothing"
         );
     }
 }
