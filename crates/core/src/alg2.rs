@@ -208,17 +208,20 @@ impl Protocol for Alg2Protocol {
             Status::Running
         } else {
             // Step 1 of iteration t: ingest x-values, recolor, send color.
-            let mut cover = self.x;
-            for (_, msg) in ctx.inbox() {
-                match msg {
-                    Alg2Msg::X(m) => cover += self.decode_x(*m),
-                    Alg2Msg::Color(_) => {} // byzantine garbage (see step 0)
+            // Gray is absorbing, so a gray node reads nothing.
+            if !self.is_gray {
+                let mut cover = self.x;
+                for (_, msg) in ctx.inbox() {
+                    match msg {
+                        Alg2Msg::X(m) => cover += self.decode_x(*m),
+                        Alg2Msg::Color(_) => {} // byzantine garbage (see step 0)
+                    }
+                }
+                if cover >= 1.0 - COVERAGE_TOLERANCE {
+                    self.is_gray = true;
                 }
             }
-            if cover >= 1.0 - COVERAGE_TOLERANCE {
-                self.is_gray = true;
-            }
-            if t + 1 == self.k * self.k {
+            if u64::from(t) + 1 == u64::from(self.k) * u64::from(self.k) {
                 Status::Halted
             } else {
                 ctx.broadcast(Alg2Msg::Color(self.is_gray));
@@ -255,10 +258,11 @@ pub struct Alg2Run {
 ///
 /// # Errors
 ///
-/// [`CoreError::InvalidConfig`] if `k == 0`; simulation errors are
-/// propagated (they indicate bugs, not expected outcomes).
+/// [`CoreError::InvalidConfig`] if `k == 0` or the `2k²` rounds exceed
+/// `engine.max_rounds` (checked before any round runs); simulation errors
+/// are propagated (they indicate bugs, not expected outcomes).
 pub fn run_alg2(g: &CsrGraph, k: u32, engine: EngineConfig) -> Result<Alg2Run, CoreError> {
-    validate_k(k)?;
+    validate_schedule(k, crate::math::alg2_rounds(k), &engine)?;
     let delta = g.max_degree();
     let report = Engine::new(g, engine, |info| Alg2Protocol::new(k, delta, info.degree))
         .run(&mut ())
@@ -285,6 +289,27 @@ pub(crate) fn validate_k(k: u32) -> Result<(), CoreError> {
     } else {
         Ok(())
     }
+}
+
+/// Rejects `k == 0`, and a `k` whose schedule of `rounds` rounds is longer
+/// than `engine.max_rounds`. Runners call it before building an engine:
+/// such a run could only fail at its round budget, after running all of
+/// it.
+pub(crate) fn validate_schedule(
+    k: u32,
+    rounds: usize,
+    engine: &EngineConfig,
+) -> Result<(), CoreError> {
+    validate_k(k)?;
+    if rounds > engine.max_rounds {
+        return Err(CoreError::InvalidConfig {
+            reason: format!(
+                "k = {k} needs {rounds} rounds, more than the round budget of {}",
+                engine.max_rounds
+            ),
+        });
+    }
+    Ok(())
 }
 
 /// Centralized lockstep reference implementation of Algorithm 2.

@@ -15,16 +15,40 @@
 //! # Width in memory
 //!
 //! Every count a node sends — degrees, `δ⁽¹⁾`, `δ⁽²⁾`, `a(v)`, `δ̃`,
-//! `γ⁽¹⁾` — and every `a⁽¹⁾` inside an [`XCode`] is held as a `u32`: a
+//! `γ⁽¹⁾` — and every `a⁽¹⁾` inside an x-value is held as a `u32`: a
 //! [`CsrGraph`]'s offsets are `u32`, so no count exceeds it, and decoders
-//! reject larger wire values instead of truncating them. This keeps an
-//! [`Alg3Msg`] at 12 bytes, so the engine's per-round table of solo
-//! broadcasts (one `Option<Alg3Msg>` per node, read in place at random
-//! by every neighbor's inbox) is 1.2 MB at `n = 100k` and stays in a
-//! 2 MiB L2 cache, which `u64` counts would overflow. The receiver's
-//! `x = a^{−m/(m+1)}` likewise comes from a memoized table of the exact
-//! `powf` results (see [`XCode::value`]) rather than one `powf` per
-//! received value. Neither changes the wire format or any answer.
+//! reject larger wire values instead of truncating them. The x-value's
+//! inner-iteration index `m < k` is a `u16`, which bounds `k` by 65,536
+//! (the runners reject a larger `k` before any round runs). The x-value
+//! travels flat, as [`Alg3Msg::X`]`{ a, m }` with `a == 0` for x = 0, so
+//! Rust stores the enum's tag in the variant's spare byte and an
+//! [`Alg3Msg`] is 8 bytes; `X(Option<XCode>)` would need a second tag
+//! and 12. The engine's per-round table of solo broadcasts (one
+//! `Option<Alg3Msg>` per node, read in place at random by every
+//! neighbor's inbox) is therefore 0.8 MB at `n = 100k`, well inside a
+//! 2 MiB L2 cache. The receiver's `x = a^{−m/(m+1)}` comes from a
+//! memoized table of the exact `powf` results (see [`XCode::value`])
+//! rather than one `powf` per received value. None of this changes the
+//! wire format or any answer.
+//!
+//! # What a node reads
+//!
+//! A node reads its inbox only when what it computes from it can change
+//! its state. In the inner iteration three reads are skipped, and none
+//! can change an output:
+//!
+//! * `IterStep1`: a gray node's `a(v)` is 0 by definition, whatever its
+//!   neighbors announced, so it does not count their `Active` messages.
+//! * `IterStep2`: only an active node uses `a⁽¹⁾(v)`, to raise its x, so
+//!   an inactive node does not take the maximum of its neighbors' `a(v)`.
+//! * `IterStep3`: gray is absorbing, so a gray node does not sum its
+//!   neighbors' x-values; the sum could only re-confirm its color.
+//!
+//! After the first inner iteration almost every node is gray. On
+//! `G(n, 16/n)` at `k = 2` the skips cover 47% of the neighbor slots an
+//! in-place inbox would visit (37.5% of the messages delivered), and more
+//! at larger `k`. Every other phase reads its whole inbox. An in-place
+//! inbox that is never iterated costs nothing.
 //!
 //! # Example
 //!
@@ -46,16 +70,18 @@ use kw_graph::{CsrGraph, FractionalAssignment, COVERAGE_TOLERANCE};
 use kw_sim::wire::{self, BitReader, BitWriter, WireEncode};
 use kw_sim::{Ctx, Engine, EngineConfig, Protocol, RunMetrics, Status};
 
-use crate::alg2::validate_k;
+use crate::alg2::{validate_k, validate_schedule};
 use crate::CoreError;
 
-/// Wire form of an Algorithm 3 x-value: `x = a^{−m/(m+1)}`.
+/// A nonzero Algorithm 3 x-value as its defining integer pair:
+/// `x = a^{−m/(m+1)}`.
 ///
-/// Sending the defining integer pair instead of a raw float keeps messages
-/// at `O(log Δ + log k)` bits and makes the receiver's reconstruction
-/// bit-identical to the sender's value. Both fields are `u32` in memory
-/// (8 bytes, so an [`Alg3Msg`] is 12): `a` is a closed-neighborhood count,
-/// which a [`CsrGraph`] bounds by `u32`.
+/// Sending the pair instead of a raw float keeps messages at
+/// `O(log Δ + log k)` bits and makes the receiver's reconstruction
+/// bit-identical to the sender's value. This is the decoded form that
+/// [`value`](Self::value) reads; on the wire and in the engine's tables
+/// the pair travels flat in [`Alg3Msg::X`], with `m` as a `u16`. `a` is
+/// a closed-neighborhood count, which a [`CsrGraph`] bounds by `u32`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct XCode {
     /// The active-neighbor maximum `a⁽¹⁾ ≥ 1` at assignment time.
@@ -91,6 +117,16 @@ impl XCode {
     fn powf(self) -> f64 {
         f64::from(self.a).powf(-f64::from(self.m) / (f64::from(self.m) + 1.0))
     }
+
+    /// The x-value an [`Alg3Msg::X`] with these fields announces: the
+    /// one place the flat wire pair becomes a code (`a == 0` is x = 0).
+    fn wire_value(a: u32, m: u16) -> f64 {
+        if a == 0 {
+            0.0
+        } else {
+            XCode { a, m: u32::from(m) }.value()
+        }
+    }
 }
 
 /// `x_table()[m][a]` is `XCode { a, m }.powf()`, computed on first use.
@@ -116,8 +152,16 @@ pub enum Alg3Msg {
     Uint(u32),
     /// Presence message: "I am active this iteration".
     Active,
-    /// The sender's current x-value (`None` = 0).
-    X(Option<XCode>),
+    /// The sender's current x-value, flat: the [`XCode`] pair
+    /// `a^{−m/(m+1)}`, or x = 0 when `a == 0` (then `m` is 0, so x = 0
+    /// has one form, as on the wire, where it is `10`·γ(0)). Flat fields
+    /// let the enum keep its tag in the variant's spare byte: 8 bytes.
+    X {
+        /// The active-neighbor maximum `a⁽¹⁾ ≥ 1`, or 0 for x = 0.
+        a: u32,
+        /// The inner-iteration index `m < k`.
+        m: u16,
+    },
     /// Whether the sender is gray.
     Color(bool),
 }
@@ -130,14 +174,11 @@ impl WireEncode for Alg3Msg {
                 w.write_gamma(u64::from(*v));
             }
             Alg3Msg::Active => w.write_bits(0b01, 2),
-            Alg3Msg::X(code) => {
+            Alg3Msg::X { a, m } => {
                 w.write_bits(0b10, 2);
-                match code {
-                    None => w.write_gamma(0),
-                    Some(XCode { a, m }) => {
-                        w.write_gamma(u64::from(*a));
-                        w.write_gamma(u64::from(*m));
-                    }
+                w.write_gamma(u64::from(*a));
+                if *a != 0 {
+                    w.write_gamma(u64::from(*m));
                 }
             }
             Alg3Msg::Color(gray) => {
@@ -148,18 +189,17 @@ impl WireEncode for Alg3Msg {
     }
 
     fn decode(r: &mut BitReader<'_>) -> Option<Self> {
-        // Values past u32 are rejected, never truncated: no honest sender
-        // produces one.
+        // Values past u32 (an x-code's m: past u16) are rejected, never
+        // truncated: no honest sender produces one.
         Some(match r.read_bits(2)? {
             0b00 => Alg3Msg::Uint(u32::try_from(r.read_gamma()?).ok()?),
             0b01 => Alg3Msg::Active,
             0b10 => match r.read_gamma()? {
-                0 => Alg3Msg::X(None),
-                a => {
-                    let a = u32::try_from(a).ok()?;
-                    let m = u32::try_from(r.read_gamma()?).ok()?;
-                    Alg3Msg::X(Some(XCode { a, m }))
-                }
+                0 => Alg3Msg::X { a: 0, m: 0 },
+                a => Alg3Msg::X {
+                    a: u32::try_from(a).ok()?,
+                    m: u16::try_from(r.read_gamma()?).ok()?,
+                },
             },
             _ => Alg3Msg::Color(r.read_bit()?),
         })
@@ -169,8 +209,8 @@ impl WireEncode for Alg3Msg {
         match self {
             Alg3Msg::Uint(v) => 2 + wire::gamma_len(u64::from(*v)),
             Alg3Msg::Active => 2,
-            Alg3Msg::X(None) => 2 + wire::gamma_len(0),
-            Alg3Msg::X(Some(XCode { a, m })) => {
+            Alg3Msg::X { a: 0, .. } => 2 + wire::gamma_len(0),
+            Alg3Msg::X { a, m } => {
                 2 + wire::gamma_len(u64::from(*a)) + wire::gamma_len(u64::from(*m))
             }
             Alg3Msg::Color(_) => 3,
@@ -194,12 +234,12 @@ enum Entering {
 enum Phase {
     SendDegree,
     SendDelta1,
-    IterStep0 { l: u32, m: u32, entering: Entering },
-    IterStep1 { l: u32, m: u32 },
-    IterStep2 { l: u32, m: u32 },
-    IterStep3 { l: u32, m: u32 },
-    OuterA { l: u32 },
-    OuterB { l: u32 },
+    IterStep0 { l: u16, m: u16, entering: Entering },
+    IterStep1 { l: u16, m: u16 },
+    IterStep2 { l: u16, m: u16 },
+    IterStep3 { l: u16, m: u16 },
+    OuterA { l: u16 },
+    OuterB { l: u16 },
     Done,
 }
 
@@ -222,7 +262,8 @@ pub struct Alg3State {
     pub active: bool,
     /// Last computed active-neighbor count `a(v)`.
     pub a_count: u64,
-    /// Last computed maximum `a⁽¹⁾(v)`.
+    /// The maximum `a⁽¹⁾(v)` as of the node's last active inner
+    /// iteration (0 before the first): only an active node reads it.
     pub a1: u64,
     /// Position `(ℓ, m, step)` if inside an inner iteration.
     pub position: Option<(u32, u32, u8)>,
@@ -243,7 +284,8 @@ pub struct Alg3Output {
 /// The Algorithm 3 node program. Uses only local information.
 #[derive(Clone, Debug)]
 pub struct Alg3Protocol {
-    k: u32,
+    /// `k − 1`, the first outer and inner iteration index.
+    last: u16,
     degree: u32,
     phase: Phase,
     /// The phase most recently executed (what observers should attribute
@@ -255,7 +297,9 @@ pub struct Alg3Protocol {
     gamma2: u32,
     delta_tilde: u32,
     x: f64,
-    x_code: Option<XCode>,
+    /// The `(a, m)` fields of [`Alg3Msg::X`] announcing `x` (`a == 0`
+    /// while `x` is 0).
+    x_wire: (u32, u16),
     is_gray: bool,
     active: bool,
     a_count: u32,
@@ -267,15 +311,17 @@ impl Alg3Protocol {
     ///
     /// # Panics
     ///
-    /// Panics if `k == 0` (validated centrally by [`run_alg3`]) or if the
+    /// Panics if `k == 0` or `k > 65_536` (both validated centrally by
+    /// [`run_alg3`]; an x-value's `m < k` travels as a `u16`), or if the
     /// closed neighborhood, `degree + 1`, does not fit in a `u32`, which
     /// no [`CsrGraph`] node's does.
     pub fn new(k: u32, degree: usize) -> Self {
         assert!(k >= 1, "k must be positive");
+        let last = u16::try_from(k - 1).expect("k <= 65536: m < k travels as a u16");
         let closed = u32::try_from(degree + 1).expect("closed neighborhoods fit in u32");
         let degree = closed - 1;
         Alg3Protocol {
-            k,
+            last,
             degree,
             phase: Phase::SendDegree,
             executed: Phase::SendDegree,
@@ -285,7 +331,7 @@ impl Alg3Protocol {
             gamma2: degree + 1,
             delta_tilde: degree + 1,
             x: 0.0,
-            x_code: None,
+            x_wire: (0, 0),
             is_gray: false,
             active: false,
             a_count: 0,
@@ -302,7 +348,8 @@ impl Alg3Protocol {
             Phase::IterStep2 { l, m } => Some((l, m, 2)),
             Phase::IterStep3 { l, m } => Some((l, m, 3)),
             _ => None,
-        };
+        }
+        .map(|(l, m, step)| (u32::from(l), u32::from(m), step));
         Alg3State {
             x: self.x,
             is_gray: self.is_gray,
@@ -317,8 +364,8 @@ impl Alg3Protocol {
     }
 
     /// The activity threshold `γ⁽²⁾(v)^{ℓ/(ℓ+1)}`.
-    fn threshold(&self, l: u32) -> f64 {
-        f64::from(self.gamma2).powf(l as f64 / (l as f64 + 1.0))
+    fn threshold(&self, l: u16) -> f64 {
+        f64::from(self.gamma2).powf(f64::from(l) / (f64::from(l) + 1.0))
     }
 
     /// The node's `δ⁽²⁾` learned during setup (valid after the setup
@@ -354,6 +401,11 @@ impl Alg3Protocol {
     /// inbox, returning the next status and the (at most one) broadcast to
     /// send. This is the engine-independent core: the [`Protocol`] impl
     /// and the composite Theorem-6 protocol both delegate here.
+    ///
+    /// The inbox is iterated only when what the step computes from it can
+    /// change the node's state: a gray node skips it in `IterStep1` and
+    /// `IterStep3`, and an inactive node in `IterStep2` (see the module
+    /// docs' "What a node reads").
     pub fn step<'m>(
         &mut self,
         inbox: impl Iterator<Item = &'m Alg3Msg> + Clone,
@@ -367,8 +419,8 @@ impl Alg3Protocol {
             Phase::SendDelta1 => {
                 self.delta1 = Self::max_uint(inbox, self.degree);
                 self.phase = Phase::IterStep0 {
-                    l: self.k - 1,
-                    m: self.k - 1,
+                    l: self.last,
+                    m: self.last,
                     entering: Entering::FromSetup,
                 };
                 (Status::Running, Some(Alg3Msg::Uint(self.delta1)))
@@ -398,47 +450,56 @@ impl Alg3Protocol {
                 (Status::Running, self.active.then_some(Alg3Msg::Active))
             }
             Phase::IterStep1 { l, m } => {
-                let mut count = u32::from(self.active);
-                for msg in inbox {
-                    // Non-Active arms are byzantine garbage (see `max_uint`).
-                    if msg == &Alg3Msg::Active {
-                        count += 1;
+                // A gray node's a(v) is 0 whatever its inbox holds.
+                self.a_count = if self.is_gray {
+                    0
+                } else {
+                    let mut count = u32::from(self.active);
+                    for msg in inbox {
+                        // Non-Active arms are byzantine garbage (see
+                        // `max_uint`).
+                        if msg == &Alg3Msg::Active {
+                            count += 1;
+                        }
                     }
-                }
-                self.a_count = if self.is_gray { 0 } else { count };
+                    count
+                };
                 self.phase = Phase::IterStep2 { l, m };
                 (Status::Running, Some(Alg3Msg::Uint(self.a_count)))
             }
             Phase::IterStep2 { l, m } => {
-                self.a1 = Self::max_uint(inbox, self.a_count);
+                // Only an active node uses a¹ to raise its x.
                 if self.active {
+                    self.a1 = Self::max_uint(inbox, self.a_count);
                     // On reliable links a¹ ≥ 1 (the node's own Active is
                     // counted by some neighbor); lost or corrupted
                     // messages can starve it to 0, which the max(1)
                     // below degrades gracefully.
-                    let code = XCode {
-                        a: self.a1.max(1),
-                        m,
-                    };
-                    let candidate = code.value();
+                    let a = self.a1.max(1);
+                    let candidate = XCode::wire_value(a, m);
                     if candidate > self.x {
                         self.x = candidate;
-                        self.x_code = Some(code);
+                        self.x_wire = (a, m);
                     }
                 }
                 self.phase = Phase::IterStep3 { l, m };
-                (Status::Running, Some(Alg3Msg::X(self.x_code)))
+                let (a, m) = self.x_wire;
+                (Status::Running, Some(Alg3Msg::X { a, m }))
             }
             Phase::IterStep3 { l, m } => {
-                let mut cover = self.x;
-                for msg in inbox {
-                    // Non-X arms are byzantine garbage (see `max_uint`).
-                    if let Alg3Msg::X(code) = msg {
-                        cover += code.map_or(0.0, XCode::value);
+                // Gray is absorbing: a gray node's sum could only
+                // re-confirm its color.
+                if !self.is_gray {
+                    let mut cover = self.x;
+                    for msg in inbox {
+                        // Non-X arms are byzantine garbage (see `max_uint`).
+                        if let Alg3Msg::X { a, m } = *msg {
+                            cover += XCode::wire_value(a, m);
+                        }
                     }
-                }
-                if cover >= 1.0 - COVERAGE_TOLERANCE {
-                    self.is_gray = true;
+                    if cover >= 1.0 - COVERAGE_TOLERANCE {
+                        self.is_gray = true;
+                    }
                 }
                 if l == 0 && m == 0 {
                     self.phase = Phase::Done;
@@ -464,7 +525,7 @@ impl Alg3Protocol {
                 self.gamma1 = Self::max_uint(inbox, self.delta_tilde);
                 self.phase = Phase::IterStep0 {
                     l: l - 1,
-                    m: self.k - 1,
+                    m: self.last,
                     entering: Entering::FromGamma1,
                 };
                 (Status::Running, Some(Alg3Msg::Uint(self.gamma1)))
@@ -513,15 +574,33 @@ pub struct Alg3Run {
     pub node_messages: Vec<u64>,
 }
 
+/// The largest `k` Algorithm 3 runs with: an x-value's `m < k` travels as
+/// a `u16`.
+const MAX_K: u32 = 1 << 16;
+
+/// Rejects a `k` an Algorithm 3 program cannot run with: zero, past
+/// [`MAX_K`], or a schedule of `rounds` rounds (Algorithm 3's own, plus
+/// whatever follows it in the same engine) longer than
+/// `engine.max_rounds`. Checked before any engine is built.
+pub(crate) fn validate_alg3(k: u32, rounds: usize, engine: &EngineConfig) -> Result<(), CoreError> {
+    if k > MAX_K {
+        return Err(CoreError::InvalidConfig {
+            reason: format!("k = {k} exceeds {MAX_K}, the largest k Algorithm 3 runs with"),
+        });
+    }
+    validate_schedule(k, rounds, engine)
+}
+
 /// Runs Algorithm 3 on `g` with parameter `k`. No global knowledge is
 /// passed to the nodes.
 ///
 /// # Errors
 ///
-/// [`CoreError::InvalidConfig`] if `k == 0`; simulation errors are
-/// propagated.
+/// [`CoreError::InvalidConfig`] if `k == 0`, `k > 65_536`, or the
+/// `4k² + 2k` rounds exceed `engine.max_rounds` (all checked before any
+/// round runs); simulation errors are propagated.
 pub fn run_alg3(g: &CsrGraph, k: u32, engine: EngineConfig) -> Result<Alg3Run, CoreError> {
-    validate_k(k)?;
+    validate_alg3(k, crate::math::alg3_rounds(k), &engine)?;
     let report = Engine::new(g, engine, |info| Alg3Protocol::new(k, info.degree))
         .run(&mut ())
         .map_err(CoreError::Sim)?;
@@ -665,9 +744,10 @@ mod tests {
             Alg3Msg::Uint(12345),
             Alg3Msg::Uint(u32::MAX),
             Alg3Msg::Active,
-            Alg3Msg::X(None),
-            Alg3Msg::X(Some(XCode { a: 17, m: 3 })),
-            Alg3Msg::X(Some(XCode { a: u32::MAX, m: 3 })),
+            Alg3Msg::X { a: 0, m: 0 },
+            Alg3Msg::X { a: 17, m: 3 },
+            Alg3Msg::X { a: u32::MAX, m: 3 },
+            Alg3Msg::X { a: 1, m: u16::MAX },
             Alg3Msg::Color(true),
             Alg3Msg::Color(false),
         ] {
@@ -675,15 +755,23 @@ mod tests {
         }
         assert_eq!(Alg3Msg::Active.encoded_bits(), 2);
         assert_eq!(Alg3Msg::Color(false).encoded_bits(), 3);
+        // x = 0 is the 2-bit tag and γ(0), with no m.
+        let zero = Alg3Msg::X { a: 0, m: 0 };
+        assert_eq!(zero.encoded_bits(), 3);
+        let mut w = BitWriter::new();
+        zero.encode(&mut w);
+        let mut expected = BitWriter::new();
+        expected.write_bits(0b10, 2);
+        expected.write_gamma(0);
+        assert_eq!(w.into_bytes(), expected.into_bytes());
     }
 
     #[test]
     fn messages_stay_narrow() {
-        let size = std::mem::size_of::<Alg3Msg>();
-        assert!(size <= 12, "Alg3Msg is {size} bytes");
+        assert_eq!(std::mem::size_of::<Alg3Msg>(), 8);
         // The engine's solo table holds `Option<Msg>`: the niche keeps it
         // free.
-        assert_eq!(std::mem::size_of::<Option<Alg3Msg>>(), size);
+        assert_eq!(std::mem::size_of::<Option<Alg3Msg>>(), 8);
     }
 
     #[test]
@@ -698,6 +786,110 @@ mod tests {
             }
             let bytes = w.into_bytes();
             assert_eq!(Alg3Msg::decode(&mut BitReader::new(&bytes)), None);
+        }
+    }
+
+    #[test]
+    fn x_m_past_u16_is_rejected() {
+        // An x-code's m travels as a u16; m = 2¹⁶ decodes to nothing.
+        for (m, expected) in [
+            (u64::from(u16::MAX), Some(Alg3Msg::X { a: 3, m: u16::MAX })),
+            (1 << 16, None),
+        ] {
+            let mut w = BitWriter::new();
+            w.write_bits(0b10, 2);
+            w.write_gamma(3);
+            w.write_gamma(m);
+            let bytes = w.into_bytes();
+            assert_eq!(Alg3Msg::decode(&mut BitReader::new(&bytes)), expected);
+        }
+    }
+
+    /// An inbox that counts the messages `step` pulls from it.
+    #[derive(Clone)]
+    struct Counted<'a> {
+        msgs: std::slice::Iter<'a, Alg3Msg>,
+        reads: &'a std::cell::Cell<usize>,
+    }
+
+    impl<'a> Iterator for Counted<'a> {
+        type Item = &'a Alg3Msg;
+
+        fn next(&mut self) -> Option<&'a Alg3Msg> {
+            self.reads.set(self.reads.get() + 1);
+            self.msgs.next()
+        }
+    }
+
+    #[test]
+    fn gray_and_inactive_nodes_skip_the_reads_they_cannot_use() {
+        // One node of degree 3 at k = 2, driven round by round. Each row is
+        // the phase the step executes, its inbox, and whether the step may
+        // read it: `false` rows must pull nothing, `true` rows all of it.
+        let uint = |v| vec![Alg3Msg::Uint(v); 3];
+        let x_one = vec![Alg3Msg::X { a: 1, m: 0 }];
+        let rounds: Vec<(&str, Vec<Alg3Msg>, bool)> = vec![
+            ("SendDelta1", uint(3), true),
+            // δ⁽²⁾ = 3, so γ⁽²⁾ = 4 and the threshold at ℓ = 1 is 2 ≤ δ̃ = 4.
+            ("IterStep0: white, active", uint(3), true),
+            ("IterStep1: white", vec![Alg3Msg::Active; 3], true),
+            ("IterStep2: active", uint(4), true),
+            // x = 4^{-1/2} plus a neighbor's x = 1 covers the node.
+            ("IterStep3: white", x_one.clone(), true),
+            // Every neighbor gray too: δ̃ = 0, so the node is inactive.
+            (
+                "IterStep0: gray, inactive",
+                vec![Alg3Msg::Color(true); 3],
+                true,
+            ),
+            ("IterStep1: gray", vec![Alg3Msg::Active; 3], false),
+            ("IterStep2: inactive", uint(4), false),
+            ("IterStep3: gray", x_one.clone(), false),
+            ("OuterA", vec![Alg3Msg::Color(false); 3], true),
+            ("OuterB", uint(4), true),
+            // γ⁽²⁾ = 4 and ℓ = 0: a gray node with a white neighbor is
+            // active, and an active node reads its a¹ inbox.
+            ("IterStep0: gray, active", uint(4), true),
+            ("IterStep1: gray", vec![Alg3Msg::Active; 3], false),
+            ("IterStep2: gray, active", uint(4), true),
+            ("IterStep3: gray", x_one, false),
+        ];
+        let mut p = Alg3Protocol::new(2, 3);
+        p.step([].iter()); // SendDegree
+        let reads = std::cell::Cell::new(0);
+        for (phase, inbox, reads_inbox) in rounds {
+            reads.set(0);
+            p.step(Counted {
+                msgs: inbox.iter(),
+                reads: &reads,
+            });
+            let expected = if reads_inbox { inbox.len() + 1 } else { 0 };
+            assert_eq!(reads.get(), expected, "{phase}");
+        }
+        let state = p.state();
+        assert!(state.is_gray);
+        assert_eq!(state.a_count, 0);
+        assert!((state.x - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn unrunnable_k_is_rejected_before_any_round() {
+        let g = generators::path(3);
+        let budget = |max_rounds| EngineConfig {
+            max_rounds,
+            ..EngineConfig::default()
+        };
+        // k = 2 takes 4k² + 2k = 20 rounds.
+        assert!(matches!(
+            run_alg3(&g, 2, budget(19)),
+            Err(CoreError::InvalidConfig { .. })
+        ));
+        assert_eq!(run_alg3(&g, 2, budget(20)).unwrap().metrics.rounds, 20);
+        for k in [65_537, u32::MAX] {
+            assert!(matches!(
+                run_alg3(&g, k, budget(usize::MAX)),
+                Err(CoreError::InvalidConfig { .. })
+            ));
         }
     }
 

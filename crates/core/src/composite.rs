@@ -24,8 +24,7 @@ use kw_graph::{CsrGraph, DominatingSet, FractionalAssignment};
 use kw_sim::wire::{BitReader, BitWriter, WireEncode};
 use kw_sim::{Ctx, Engine, EngineConfig, Protocol, RunMetrics, Status};
 
-use crate::alg2::validate_k;
-use crate::alg3::{Alg3Msg, Alg3Protocol};
+use crate::alg3::{validate_alg3, Alg3Msg, Alg3Protocol};
 use crate::rounding::RoundingConfig;
 use crate::CoreError;
 
@@ -95,7 +94,8 @@ impl CompositeProtocol {
     ///
     /// # Panics
     ///
-    /// Panics if `k == 0` (validated centrally by [`run_composite`]).
+    /// Panics where [`Alg3Protocol::new`] does, on `k == 0` or
+    /// `k > 65_536` (validated centrally by [`run_composite`]).
     pub fn new(k: u32, rounding: RoundingConfig, degree: usize) -> Self {
         CompositeProtocol {
             rounding,
@@ -189,15 +189,16 @@ pub struct CompositeRun {
 ///
 /// # Errors
 ///
-/// [`CoreError::InvalidConfig`] if `k == 0`; simulation errors are
-/// propagated.
+/// [`CoreError::InvalidConfig`] if `k == 0`, `k > 65_536`, or the
+/// `4k² + 2k + 2` rounds exceed `engine.max_rounds` (all checked before
+/// any round runs); simulation errors are propagated.
 pub fn run_composite(
     g: &CsrGraph,
     k: u32,
     rounding: RoundingConfig,
     engine: EngineConfig,
 ) -> Result<CompositeRun, CoreError> {
-    validate_k(k)?;
+    validate_alg3(k, crate::math::alg3_rounds(k).saturating_add(2), &engine)?;
     let report = Engine::new(g, engine, |info| {
         CompositeProtocol::new(k, rounding, info.degree)
     })
@@ -221,7 +222,6 @@ pub fn run_composite(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::alg3::XCode;
     use crate::math;
     use kw_graph::generators;
     use kw_sim::wire::roundtrip;
@@ -234,7 +234,8 @@ mod tests {
             CompositeMsg::Lp(Alg3Msg::Uint(9)),
             CompositeMsg::Lp(Alg3Msg::Uint(u32::MAX)),
             CompositeMsg::Lp(Alg3Msg::Active),
-            CompositeMsg::Lp(Alg3Msg::X(Some(XCode { a: u32::MAX, m: 3 }))),
+            CompositeMsg::Lp(Alg3Msg::X { a: u32::MAX, m: 3 }),
+            CompositeMsg::Lp(Alg3Msg::X { a: 0, m: 0 }),
             CompositeMsg::Lp(Alg3Msg::Color(true)),
             CompositeMsg::InSet(false),
             CompositeMsg::InSet(true),
@@ -245,11 +246,10 @@ mod tests {
 
     #[test]
     fn messages_stay_narrow() {
-        let size = std::mem::size_of::<CompositeMsg>();
-        assert!(size <= 12, "CompositeMsg is {size} bytes");
+        assert_eq!(std::mem::size_of::<CompositeMsg>(), 8);
         // The engine's solo table holds `Option<Msg>`: the niche keeps it
         // free.
-        assert_eq!(std::mem::size_of::<Option<CompositeMsg>>(), size);
+        assert_eq!(std::mem::size_of::<Option<CompositeMsg>>(), 8);
     }
 
     #[test]

@@ -230,7 +230,7 @@ impl<'g> Alg2Checker<'g> {
             for (i, s) in states.iter().enumerate() {
                 self.prev_gray[i] = s.is_gray;
             }
-            if t == self.k * self.k - 1 {
+            if u64::from(t) + 1 == u64::from(self.k) * u64::from(self.k) {
                 // Final outer iteration (ℓ = 0) completed: Lemma 4.
                 self.check_lemma4(0);
             }
@@ -268,7 +268,7 @@ pub fn run_alg2_checked(
     k: u32,
     engine: EngineConfig,
 ) -> Result<(Alg2Run, InvariantReport), CoreError> {
-    crate::alg2::validate_k(k)?;
+    crate::alg2::validate_schedule(k, crate::math::alg2_rounds(k), &engine)?;
     let delta = g.max_degree();
     let mut checker = Alg2Checker::new(g, k);
     let report = Engine::new(g, engine, |info| Alg2Protocol::new(k, delta, info.degree))
@@ -460,7 +460,7 @@ pub fn run_alg3_checked(
     k: u32,
     engine: EngineConfig,
 ) -> Result<(Alg3Run, InvariantReport), CoreError> {
-    crate::alg2::validate_k(k)?;
+    crate::alg3::validate_alg3(k, crate::math::alg3_rounds(k), &engine)?;
     let mut checker = Alg3Checker::new(g, k);
     let report = Engine::new(g, engine, |info| Alg3Protocol::new(k, info.degree))
         .run(&mut checker)

@@ -36,18 +36,23 @@ pub fn alg3_lp_bound(k: u32, delta: usize) -> f64 {
 }
 
 /// Theorem 4 (running time): Algorithm 2 terminates after exactly `2k²`
-/// rounds.
+/// rounds. Saturates at `usize::MAX` instead of overflowing: no round
+/// budget admits such a schedule.
 pub fn alg2_rounds(k: u32) -> usize {
-    2 * (k as usize) * (k as usize)
+    let k = k as usize;
+    k.saturating_mul(k).saturating_mul(2)
 }
 
 /// Theorem 5 (running time): Algorithm 3 terminates after `4k² + O(k)`
 /// rounds; this implementation uses exactly `4k² + 2k` rounds
 /// (2 setup rounds + 4 rounds per inner iteration + 2 rounds between
-/// consecutive outer iterations).
+/// consecutive outer iterations). Saturates at `usize::MAX` instead of
+/// overflowing, like [`alg2_rounds`].
 pub fn alg3_rounds(k: u32) -> usize {
     let k = k as usize;
-    4 * k * k + 2 * k
+    k.saturating_mul(k)
+        .saturating_mul(4)
+        .saturating_add(k.saturating_mul(2))
 }
 
 /// Theorem 3: rounding an `α`-approximate fractional solution yields an
@@ -136,6 +141,14 @@ mod tests {
         assert_eq!(alg2_rounds(3), 18);
         assert_eq!(alg3_rounds(1), 6);
         assert_eq!(alg3_rounds(3), 42);
+    }
+
+    #[test]
+    fn schedules_saturate_instead_of_overflowing() {
+        assert_eq!(alg2_rounds(65_536), 1 << 33);
+        assert_eq!(alg3_rounds(600), 1_441_200);
+        assert_eq!(alg2_rounds(u32::MAX), usize::MAX);
+        assert_eq!(alg3_rounds(u32::MAX), usize::MAX);
     }
 
     #[test]

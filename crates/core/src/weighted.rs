@@ -17,7 +17,7 @@
 use kw_graph::{CsrGraph, FractionalAssignment, VertexWeights, COVERAGE_TOLERANCE};
 use kw_sim::{Ctx, Engine, EngineConfig, Protocol, RunMetrics, Status};
 
-use crate::alg2::{validate_k, Alg2Msg};
+use crate::alg2::{validate_k, validate_schedule, Alg2Msg};
 use crate::math::frac_pow;
 use crate::CoreError;
 
@@ -110,16 +110,19 @@ impl Protocol for WeightedAlg2Protocol {
             ctx.broadcast(Alg2Msg::X(self.m_best));
             Status::Running
         } else {
-            let mut cover = self.x;
-            for (_, msg) in ctx.inbox() {
-                if let Alg2Msg::X(m) = msg {
-                    cover += self.decode_x(*m);
+            // Gray is absorbing, so a gray node reads nothing.
+            if !self.is_gray {
+                let mut cover = self.x;
+                for (_, msg) in ctx.inbox() {
+                    if let Alg2Msg::X(m) = msg {
+                        cover += self.decode_x(*m);
+                    }
+                }
+                if cover >= 1.0 - COVERAGE_TOLERANCE {
+                    self.is_gray = true;
                 }
             }
-            if cover >= 1.0 - COVERAGE_TOLERANCE {
-                self.is_gray = true;
-            }
-            if t + 1 == self.k * self.k {
+            if u64::from(t) + 1 == u64::from(self.k) * u64::from(self.k) {
                 Status::Halted
             } else {
                 ctx.broadcast(Alg2Msg::Color(self.is_gray));
@@ -151,7 +154,8 @@ pub struct WeightedRun {
 ///
 /// # Errors
 ///
-/// [`CoreError::InvalidConfig`] if `k == 0`;
+/// [`CoreError::InvalidConfig`] if `k == 0` or the `2k²` rounds exceed
+/// `engine.max_rounds` (checked before any round runs);
 /// [`CoreError::InputMismatch`] if `weights` does not match `g`.
 pub fn run_weighted_alg2(
     g: &CsrGraph,
@@ -159,7 +163,7 @@ pub fn run_weighted_alg2(
     k: u32,
     engine: EngineConfig,
 ) -> Result<WeightedRun, CoreError> {
-    validate_k(k)?;
+    validate_schedule(k, crate::math::alg2_rounds(k), &engine)?;
     if weights.len() != g.len() {
         return Err(CoreError::InputMismatch {
             expected: g.len(),
@@ -187,7 +191,8 @@ pub fn run_weighted_alg2(
 ///
 /// # Errors
 ///
-/// Same as [`run_weighted_alg2`].
+/// [`CoreError::InvalidConfig`] if `k == 0`;
+/// [`CoreError::InputMismatch`] if `weights` does not match `g`.
 pub fn reference_weighted_alg2(
     g: &CsrGraph,
     weights: &VertexWeights,

@@ -6,7 +6,7 @@
 use kw_baselines::jrs::JrsMsg;
 use kw_baselines::luby_mis::MisMsg;
 use kw_core::alg2::Alg2Msg;
-use kw_core::alg3::{Alg3Msg, XCode};
+use kw_core::alg3::Alg3Msg;
 use kw_core::composite::CompositeMsg;
 use kw_core::rounding::RoundingMsg;
 use kw_core::solver::{ExperimentRunner, SolveContext};
@@ -74,8 +74,8 @@ fn garbled_bytes_never_panic_any_registered_decoder() {
         &[
             Alg3Msg::Uint(41),
             Alg3Msg::Active,
-            Alg3Msg::X(Some(XCode { a: 5, m: 2 })),
-            Alg3Msg::X(None),
+            Alg3Msg::X { a: 5, m: 2 },
+            Alg3Msg::X { a: 0, m: 0 },
             Alg3Msg::Color(false),
         ],
         &mut rng,
@@ -89,7 +89,7 @@ fn garbled_bytes_never_panic_any_registered_decoder() {
         "CompositeMsg",
         &[
             CompositeMsg::Lp(Alg3Msg::Uint(3)),
-            CompositeMsg::Lp(Alg3Msg::X(Some(XCode { a: 2, m: 1 }))),
+            CompositeMsg::Lp(Alg3Msg::X { a: 2, m: 1 }),
             CompositeMsg::InSet(false),
         ],
         &mut rng,

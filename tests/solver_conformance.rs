@@ -226,3 +226,24 @@ fn unknown_and_malformed_specs_fail_cleanly() {
         assert!(registry.build(bad).is_err(), "{bad:?} should fail to build");
     }
 }
+
+#[test]
+fn unrunnable_k_fails_before_any_round() {
+    // kw:k=600 takes 4k² + 2k = 1,441,200 rounds, past the default budget
+    // of 10⁶; composite's 4k² + 2k + 2 overflowed usize at k = u32::MAX,
+    // and alg2's k² overflowed u32 at k = 65,536. Each is a configuration
+    // error, reported before any round runs.
+    let registry = kw_domset::default_registry();
+    let g = generators::gnp(2000, 0.004, &mut SmallRng::seed_from_u64(1));
+    for spec in ["kw:k=600", "composite:k=4294967295", "alg2:k=65536"] {
+        let solver = registry.build(spec).unwrap();
+        let err = solver.solve(&g, &SolveContext::seeded(1)).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SolveError::Core(kw_domset::core::CoreError::InvalidConfig { .. })
+            ),
+            "{spec}: {err:?}"
+        );
+    }
+}
